@@ -2,7 +2,9 @@
 
 Reports are JSON (tables are CSV) and deterministic given the parameters and
 seed, so runs are directly comparable.  Exit code 0 means every verification
-in the run passed.
+in the run passed, 1 that a result is not certified (a search stopped by its
+budget, or a failed check), and 2 that the input was rejected: a usage error,
+or an input error reported as one "knvex: error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -173,20 +175,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="knvex", description=__doc__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("KNV_THREADS", "1")),
-        help="worker budget for search internals (recorded in reports)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vex", help="exact value or sandwich bounds for one pattern")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", required=True, help="named pattern (M2, S3, C5, K4, K2,3) or file")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--bounds", action="store_true", default=False)
+    p.add_argument("--bounds", action="store_true", help="sandwich bounds, not the exact value")
     p.add_argument("--budget", type=int, default=None, help="node budget for the search")
     p.add_argument("--timeout", type=float, default=None, help="wall-clock budget in seconds")
     p.set_defaults(func=_cmd_vex)
@@ -228,10 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
-    report, code = args.func(args)
+    try:
+        report, code = args.func(args)
+    except (ValueError, OSError) as exc:
+        # rejected input: unknown names, out-of-range sizes, missing budgets, unreadable files
+        print(f"knvex: error: {exc}", file=sys.stderr)
+        return 2
     if report is not None:
         report.elapsed_ms = int((time.monotonic() - start) * 1000)
-        report.params["threads"] = args.threads
         print(report.to_json())
     return code
 

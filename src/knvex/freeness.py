@@ -9,7 +9,17 @@ The search backtracks over pattern vertices in decreasing-degree order
 (ties by label) and tries host candidates in canonical family order, so the
 first witness found is deterministic.  Candidate sets are bitmasks over
 family indices; forward checking abandons a branch as soon as some
-unassigned pattern vertex has no remaining candidates.
+unassigned pattern vertex has no remaining candidates.  The vertex order,
+and for each vertex its neighbours placed later, are fixed per pattern and
+computed once (_GraphPlan).
+
+The incremental checker decides a push by pinning the pushed set to one
+vertex of each automorphism orbit of the pattern, not to every vertex: a new
+copy must use the pushed set, and composing it with an automorphism moves the
+pinned vertex anywhere in its orbit.  The orbits are found by the embedder
+itself, so the symmetry is checked, never assumed.  The plain search uses the
+same argument: a host that fails for the first vertex leaves the domains of
+that vertex's whole orbit.
 """
 
 from __future__ import annotations
@@ -96,81 +106,120 @@ def check_witness(host: InducedKneser, pattern: PatternGraph, witness: GraphWitn
     return all(host.is_edge(mapping[u], mapping[v]) for u, v in pattern.edges)
 
 
-def _embed(pattern: PatternGraph, host_size: int, nbr, deg, forced=None):
+def _graph_route(order, adjacency) -> tuple[tuple[int, ...], tuple]:
+    """order, plus (v, neighbours of v placed after it) per position.
+
+    Vertices are placed strictly in order, so the neighbours still to be
+    placed at each position are known before the search starts.
+    """
+    steps = tuple(
+        (v, tuple(u for u in order[pos + 1:] if adjacency[v] >> u & 1))
+        for pos, v in enumerate(order)
+    )
+    return tuple(order), steps
+
+
+class _GraphPlan:
+    """Per-pattern search routes and symmetry, computed once per pattern.
+
+    route follows decreasing degree (ties by label); forced_routes[p] is the
+    same order with p moved to the front, for searches that pin p.  orbits
+    are the automorphism orbits; first_orbit is the one holding route's
+    first vertex.
+    """
+
+    def __init__(self, pattern: PatternGraph):
+        degrees = pattern.degrees
+        pv = pattern.vertex_count
+        order = sorted(range(pv), key=lambda v: (-degrees[v], v))
+        self.pattern = pattern
+        self.route = _graph_route(order, pattern.adjacency)
+        self.forced_routes = tuple(
+            _graph_route([p] + [v for v in order if v != p], pattern.adjacency)
+            for p in range(pv)
+        )
+        self.orbits = automorphism_orbits(
+            pv, lambda forced: _embed(self, pv, pattern.adjacency.__getitem__, forced=forced)
+        )
+        self.first_orbit = next(orbit for orbit in self.orbits if order[0] in orbit)
+
+
+def _narrow(domains: list[int], related, row: int) -> bool:
+    """domains[u] &= row for each related u; False as soon as one empties."""
+    for u in related:
+        domains[u] &= row
+        if not domains[u]:
+            return False
+    return True
+
+
+def _embed(plan: _GraphPlan, host_size: int, nbr, forced=None):
     """Injective edge-preserving map of the pattern into an abstract host.
 
-    nbr(i) and deg(i) describe the host graph as index bitsets.  With
-    forced=(p, h) the pattern vertex p is pinned to host index h.  Returns
-    the assignment dict or None.
+    nbr(i) is the bitset of host indices adjacent to host index i.  With
+    forced=(p, h) the pattern vertex p is pinned to host index h.  Unforced,
+    a host that fails for the first vertex leaves the domains of that
+    vertex's whole automorphism orbit.  Returns the assignment dict or None.
     """
+    pattern = plan.pattern
     pv = pattern.vertex_count
     if pv > host_size:
         return None
     pat_deg = pattern.degrees
-    order = sorted(range(pv), key=lambda v: (-pat_deg[v], v))
-    all_hosts = (1 << host_size) - 1
+    domains = [(1 << host_size) - 1] * pv
+    image = [0] * pv
+    start = used = 0
 
-    assign: dict[int, int] = {}
-    used = 0
-    domains = [all_hosts] * pv
-
-    if forced is not None:
+    if forced is None:
+        order, steps = plan.route
+    else:
         p, h = forced
-        if deg(h) < pat_deg[p]:
-            return None
-        assign[p] = h
-        used = 1 << h
         row = nbr(h)
-        for u in range(pv):
-            if pattern.adjacency[p] >> u & 1:
-                domains[u] &= row
-        order = [p] + [v for v in order if v != p]
+        if row.bit_count() < pat_deg[p]:
+            return None
+        order, steps = plan.forced_routes[p]
+        image[0] = h
+        used = 1 << h
+        if not _narrow(domains, steps[0][1], row):
+            return None
+        start = 1
 
-    def place(pos: int, domains: list[int]) -> bool:
+    def place(pos: int, domains: list[int], used: int) -> bool:
         if pos == pv:
             return True
-        v = order[pos]
-        if v in assign:
-            return place(pos + 1, domains)
-        cands = domains[v] & ~used_ref[0]
+        v, later = steps[pos]
+        need = pat_deg[v]
+        cands = domains[v] & ~used
         while cands:
             low = cands & -cands
             cands ^= low
             h = low.bit_length() - 1
-            if deg(h) < pat_deg[v]:
-                continue
             row = nbr(h)
-            new_domains = domains
-            dead = False
-            touched = False
-            for u in range(pv):
-                if pattern.adjacency[v] >> u & 1 and u not in assign:
-                    if not touched:
-                        new_domains = list(domains)
-                        touched = True
-                    new_domains[u] &= row
-                    if new_domains[u] == 0:
-                        dead = True
-                        break
-            if dead:
+            if row.bit_count() < need:
                 continue
-            assign[v] = h
-            used_ref[0] |= low
-            if place(pos + 1, new_domains):
+            new_domains = domains
+            if later:
+                new_domains = list(domains)
+                if not _narrow(new_domains, later, row):
+                    continue
+            image[pos] = h
+            if place(pos + 1, new_domains, used | low):
                 return True
-            del assign[v]
-            used_ref[0] ^= low
+            if pos == 0:
+                # no copy at all puts h on the first vertex, so by symmetry
+                # none puts it on any vertex of that vertex's orbit
+                for u in plan.first_orbit:
+                    domains[u] &= ~low
         return False
 
-    used_ref = [used]
-    if place(0, domains):
-        return dict(assign)
+    if place(start, domains, used):
+        return dict(zip(order, image))
     return None
 
 
 def contains_subgraph(host: InducedKneser, pattern: PatternGraph) -> GraphWitness | None:
     """Exhaustive search for a subgraph copy of the pattern; None if absent."""
-    mapping = _embed(pattern, len(host), host.neighbor_mask, host.degree)
+    mapping = _embed(_GraphPlan(pattern), len(host), host.neighbor_mask)
     return GraphWitness(mapping) if mapping is not None else None
 
 
@@ -179,18 +228,51 @@ def is_free(fam: Family, pattern: PatternGraph) -> bool:
     return contains_subgraph(induced_kneser(fam), pattern) is None
 
 
+def automorphism_orbits(size: int, embeds) -> tuple[tuple[int, ...], ...]:
+    """Automorphism orbits of a pattern on 0..size-1, by smallest label.
+
+    embeds(forced) runs the pattern's own embedder with the pattern itself as
+    host and forced=(p, q).  An injective structure-preserving map of a
+    finite pattern into itself is an automorphism, so p and q share an orbit
+    iff that search succeeds: every orbit is witnessed by an automorphism
+    actually found, never assumed.
+    """
+    orbits = []
+    merged = 0
+    for p in range(size):
+        if merged >> p & 1:
+            continue
+        orbit = [p]
+        for q in range(p + 1, size):
+            if not merged >> q & 1 and embeds((p, q)) is not None:
+                merged |= 1 << q
+                orbit.append(q)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
 class IncrementalChecker:
     """Stack of vertices with pattern-freeness tracked across push/pop.
 
     Pushed masks must be distinct (the search engines guarantee this).
     Freeness is monotone under push, so only the depth of the first
     violation needs to be remembered.
+
+    A push pins the pushed set to each vertex of orbit_reps, the smallest
+    label of every automorphism orbit (see the module docstring for why
+    that decides the push), highest degree first.
     """
 
     def __init__(self, pattern: PatternGraph, n: int):
         validate_ground(n)
         self.pattern = pattern
         self.n = n
+        self._plan = _GraphPlan(pattern)
+        # highest degree first: with that order a relabelled K2,3 takes the
+        # same time under every labelling, not up to 3x more
+        self.orbit_reps = tuple(
+            sorted((orbit[0] for orbit in self._plan.orbits), key=lambda p: -pattern.degrees[p])
+        )
         self._masks: list[int] = []
         self._rows: list[int] = []
         self._violated_at: int | None = None
@@ -201,13 +283,15 @@ class IncrementalChecker:
     def push(self, mask: int) -> None:
         validate_mask(mask, self.n)
         idx = len(self._masks)
+        rows = self._rows
+        bit = 1 << idx
         row = 0
         for j, other in enumerate(self._masks):
-            if kneser_adjacent(mask, other):
+            if mask & other == 0 and mask != other:
                 row |= 1 << j
-                self._rows[j] |= 1 << idx
+                rows[j] |= bit
         self._masks.append(mask)
-        self._rows.append(row)
+        rows.append(row)
         if self._violated_at is None and self._completes_copy(idx):
             self._violated_at = len(self._masks)
 
@@ -215,11 +299,14 @@ class IncrementalChecker:
         if not self._masks:
             raise IndexError("pop from empty checker")
         mask = self._masks.pop()
-        idx = len(self._masks)
-        self._rows.pop()
-        keep = ~(1 << idx)
-        for j in range(idx):
-            self._rows[j] &= keep
+        bit = 1 << len(self._masks)
+        # push set the popped bit exactly in the rows of the popped set's neighbours
+        rows = self._rows
+        marked = rows.pop()
+        while marked:
+            low = marked & -marked
+            marked ^= low
+            rows[low.bit_length() - 1] ^= bit
         if self._violated_at is not None and self._violated_at > len(self._masks):
             self._violated_at = None
         return mask
@@ -232,14 +319,12 @@ class IncrementalChecker:
 
     def _completes_copy(self, new_index: int) -> bool:
         # any new copy must use the vertex just pushed
-        pattern = self.pattern
         size = len(self._masks)
-        if pattern.vertex_count > size:
+        if self.pattern.vertex_count > size:
             return False
         nbr = self._rows.__getitem__
-        deg = lambda i: self._rows[i].bit_count()
-        for p in range(pattern.vertex_count):
-            if _embed(pattern, size, nbr, deg, forced=(p, new_index)) is not None:
+        for p in self.orbit_reps:
+            if _embed(self._plan, size, nbr, forced=(p, new_index)) is not None:
                 return True
         return False
 

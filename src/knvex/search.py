@@ -104,37 +104,47 @@ def max_family_avoiding(
     exhausted = False
     chosen: list[int] = []
     check_every = 1023
-
-    def dfs(i: int, count: int) -> None:
-        nonlocal best, best_masks, nodes, exhausted
+    # Explicit stack instead of recursion: the tree is one level per unit,
+    # 2^n deep, and visits nodes in the order the recursion did (include
+    # branch first).  A frame is (i, count, None) on entry to a node, or
+    # (i, count, unit) once its include branch is done and unit must be undone.
+    stack: list[tuple[int, int, tuple[int, ...] | None]] = [(0, 0, None)]
+    while stack:
+        i, count, undo = stack.pop()
+        if undo is not None:
+            del chosen[len(chosen) - len(undo):]
+            for _ in undo:
+                checker.pop()
+            stack.append((i + 1, count, None))
+            continue
         if exhausted:
-            return
+            continue
         nodes += 1
         if max_nodes is not None and nodes > max_nodes:
             exhausted = True
-            return
+            continue
         if deadline is not None and nodes & check_every == 0 and time.monotonic() > deadline:
             exhausted = True
-            return
+            continue
         if count > best:
             best = count
             best_masks = list(chosen)
         if i == len(units):
-            return
+            continue
         if prune and count + capacity[i] <= best:
-            return
+            continue
         unit = units[i]
         for m in unit:
             checker.push(m)
         if checker.currently_free():
             chosen.extend(unit)
-            dfs(i + 1, count + len(unit))
-            del chosen[len(chosen) - len(unit):]
-        for _ in unit:
-            checker.pop()
-        dfs(i + 1, count)
+            stack.append((i, count, unit))
+            stack.append((i + 1, count + len(unit), None))
+        else:
+            for _ in unit:
+                checker.pop()
+            stack.append((i + 1, count, None))
 
-    dfs(0, 0)
     return best, Family.of(n, best_masks), not exhausted
 
 

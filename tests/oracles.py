@@ -31,6 +31,20 @@ def poset_copy_exists(masks, poset) -> bool:
     return False
 
 
+def automorphism_orbit_minima(size: int, relations) -> tuple[int, ...]:
+    """Smallest label of each orbit of the permutations of 0..size-1 that map
+    the relation (a set of ordered pairs) onto itself, by trying every one.
+
+    v is the smallest label of its orbit iff no automorphism sends v lower.
+    """
+    relation = set(relations)
+    minima = set(range(size))
+    for perm in permutations(range(size)):
+        if all((perm[a], perm[b]) in relation for a, b in relation):
+            minima -= {v for v in range(size) if perm[v] < v}
+    return tuple(sorted(minima))
+
+
 def all_families(n: int):
     """Every subset of 2^[n] as a mask list; 2^(2^n) of them, so n <= 3 only."""
     ground = list(range(1 << n))

@@ -1,0 +1,96 @@
+import json
+
+import pytest
+
+from knvex.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestExitCodes:
+    def test_exact_run_exits_0(self, capsys):
+        code, out, err = run(capsys, "vex", "--n", "4", "--pattern", "C5")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["command"] == "vex"
+        assert report["results"]["value"] == 12
+        assert report["results"]["exact"] is True
+
+    def test_budgeted_run_exits_1_with_a_lower_bound(self, capsys):
+        code, out, _ = run(capsys, "vex", "--n", "10", "--pattern", "C5", "--budget", "2000")
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["exact"] is False
+        assert results["upper_bound_source"] is None
+        assert len(results["witness"]["sets"]) == results["value"]
+
+    def test_budgeted_la_exits_1(self, capsys):
+        code, out, _ = run(capsys, "la", "--n", "4", "--poset", "butterfly", "--budget", "5")
+        assert code == 1
+        assert json.loads(out)["results"]["exact"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vex", "--n", "5", "--pattern", "XYZ"),
+            ("vex", "--n", "6", "--pattern", "C5"),
+            ("vex", "--n", "0", "--pattern", "C5"),
+            ("la", "--n", "6", "--poset", "V"),
+            ("la", "--n", "3", "--poset", "nonsense"),
+            ("cyclecheck", "--n", "4", "--family", "no/such/family.txt"),
+        ],
+    )
+    def test_input_error_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("knvex: error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--threads", "2", "vex", "--n", "3", "--pattern", "C5"),
+            ("vex", "--n", "3", "--pattern", "C5", "--exact"),
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+
+
+class TestReports:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("vex", "--n", "4", "--pattern", "K2,3"),
+            ("vex", "--n", "9", "--pattern", "C5", "--bounds"),
+            ("la", "--n", "4", "--poset", "V", "--poset", "Lambda"),
+            ("eposet", "--poset", "butterfly", "--nmax", "5"),
+            ("verify", "--construction", "e2_two_level", "--n", "6"),
+            ("cyclecheck", "--n", "5", "--seed", "3"),
+        ],
+    )
+    def test_json_is_deterministic_apart_from_elapsed_ms(self, capsys, argv):
+        reports = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            report = json.loads(out)
+            assert set(report) == {"command", "params", "results", "elapsed_ms", "toolkit_version"}
+            assert isinstance(report.pop("elapsed_ms"), int)
+            assert "threads" not in report["params"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_table_is_csv(self, capsys):
+        code, out, _ = run(capsys, "table", "--pattern", "K3", "--n", "3..5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,lower,upper,exact"
+        assert [line.split(",")[0] for line in lines[1:]] == ["3", "4", "5"]

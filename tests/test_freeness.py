@@ -10,10 +10,10 @@ from knvex.freeness import (
     induced_kneser,
     is_free,
 )
-from knvex.patterns import make_pattern, parse_pattern
+from knvex.patterns import PatternGraph, make_pattern, parse_pattern
 from knvex.sets import Family, level_slice, mask_of
 
-from oracles import disjointness_edges, subgraph_copy_exists
+from oracles import automorphism_orbit_minima, disjointness_edges, subgraph_copy_exists
 
 NAMED = {
     "K2": parse_pattern("K2"),
@@ -22,6 +22,9 @@ NAMED = {
     "K3": parse_pattern("K3"),
     "C5": parse_pattern("C5"),
 }
+
+# a triangle with pendant paths of lengths 2 and 1: no automorphism but the identity
+ASYMMETRIC = PatternGraph.make(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)])
 
 
 def F(n, *sets):
@@ -115,11 +118,12 @@ class TestOracleAgreement:
 
     def test_random_families_n4_all_patterns(self):
         rng = random.Random(11)
+        path4 = PatternGraph.make(4, [(0, 1), (1, 2), (2, 3)])
         for _ in range(40):
             masks = [m for m in range(16) if rng.random() < 0.4]
             fam = Family.of(4, masks)
             host = induced_kneser(fam)
-            for pattern in NAMED.values():
+            for pattern in [*NAMED.values(), path4, parse_pattern("K2,3"), ASYMMETRIC]:
                 got = contains_subgraph(host, pattern)
                 assert (got is not None) == subgraph_copy_exists(masks, pattern)
 
@@ -161,7 +165,8 @@ class TestIncrementalChecker:
 
     def test_replay_agrees_with_is_free(self):
         rng = random.Random(3)
-        for pattern in NAMED.values():
+        relabelled_k23 = PatternGraph.make(5, [(u, v) for u in (1, 4) for v in (0, 2, 3)])
+        for pattern in [*NAMED.values(), relabelled_k23, ASYMMETRIC]:
             chk = incremental_checker(pattern, 4)
             stack = []
             for _ in range(120):
@@ -176,6 +181,27 @@ class TestIncrementalChecker:
                     chk.push(mask)
                     stack.append(mask)
                 assert chk.currently_free() == is_free(Family.of(4, stack), pattern)
+
+
+class TestOrbitRepresentatives:
+    def test_named_patterns(self):
+        cases = {"C5": (0,), "K4": (0,), "K2,3": (0, 2), "S3": (0, 1), "M2": (0,)}
+        for name, reps in cases.items():
+            assert incremental_checker(parse_pattern(name), 3).orbit_reps == reps
+
+    def test_trivial_group_forces_every_vertex(self):
+        # highest degree first, ties by label
+        assert incremental_checker(ASYMMETRIC, 3).orbit_reps == (2, 4, 1, 3, 0, 5)
+
+    def test_agrees_with_brute_force_automorphisms(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            size = rng.randint(1, 6)
+            edges = [(u, v) for u in range(size) for v in range(u + 1, size) if rng.random() < 0.4]
+            pattern = PatternGraph.make(size, edges)
+            arcs = [(u, v) for u, v in pattern.edges] + [(v, u) for u, v in pattern.edges]
+            expected = automorphism_orbit_minima(size, arcs)
+            assert tuple(sorted(incremental_checker(pattern, 3).orbit_reps)) == expected
 
 
 def test_size_limit():

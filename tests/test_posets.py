@@ -8,6 +8,7 @@ from knvex.freeness import check_witness, induced_kneser
 from knvex.patterns import Bipartition, bipartition, make_pattern
 from knvex.posets import (
     CollisionError,
+    IncrementalPosetChecker,
     Poset,
     PosetCopy,
     antichain,
@@ -32,7 +33,7 @@ from knvex.posets import (
 )
 from knvex.sets import Family, complement, family_complement, level_slice, mask_of
 
-from oracles import poset_copy_exists
+from oracles import automorphism_orbit_minima, poset_copy_exists
 
 NAMED_POSETS = {
     "chain2": chain(2),
@@ -189,6 +190,14 @@ class TestContainsPosetCopy:
                 got = contains_poset_copy(fam, poset)
                 assert (got is not None) == poset_copy_exists(masks, poset)
 
+    def test_failed_first_element_stays_usable_outside_its_orbit(self):
+        # {2,3} fails as the isolated element 0 and must still serve as 1 < 2;
+        # only elements in the orbit of 0 (here 0 and 3) may drop it
+        poset = Poset.from_relations(4, [(1, 2)])
+        masks = [mask_of(s, 4) for s in ([2, 3], [1, 2, 3], [1, 4], [2, 4])]
+        assert poset_copy_exists(masks, poset)
+        assert contains_poset_copy(Family.of(4, masks), poset) is not None
+
     def test_copy_is_order_preserving(self):
         fam = level_slice(4, 0, 4)
         for poset in NAMED_POSETS.values():
@@ -198,6 +207,59 @@ class TestContainsPosetCopy:
                 for q in range(poset.size):
                     if poset.less(p, q):
                         assert copy.mapping[p] & copy.mapping[q] == copy.mapping[p]
+
+
+class TestIncrementalPosetChecker:
+    def test_orbit_representatives(self):
+        cases = [
+            (v_poset(), (0, 1)),
+            (butterfly(), (0, 1)),
+            (complete_three_level(2, 2), (0, 2, 3)),
+        ]
+        for poset, reps in cases:
+            assert IncrementalPosetChecker([poset], 3).orbit_reps == (reps,)
+        assert IncrementalPosetChecker([chain(3), antichain(3)], 3).orbit_reps == ((0, 1, 2), (0,))
+
+    def test_orbits_agree_with_brute_force_automorphisms(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            size = rng.randint(1, 5)
+            pairs = [(p, q) for p in range(size) for q in range(p + 1, size) if rng.random() < 0.3]
+            perm = rng.sample(range(size), size)
+            poset = Poset.from_relations(size, [(perm[p], perm[q]) for p, q in pairs])
+            relation = [(p, q) for p in range(size) for q in range(size) if poset.less(p, q)]
+            (reps,) = IncrementalPosetChecker([poset], 3).orbit_reps
+            assert reps == automorphism_orbit_minima(size, relation)
+
+    def test_replay_agrees_with_contains_poset_copy(self):
+        rng = random.Random(7)
+        relabelled_butterfly = Poset.from_relations(4, [(2, 0), (2, 3), (1, 0), (1, 3)])
+        lists = [
+            [v_poset()],
+            [butterfly()],
+            [relabelled_butterfly],
+            [lambda_poset(), chain(3)],
+        ]
+        for forbidden in lists:
+            chk = IncrementalPosetChecker(forbidden, 4)
+            stack = []
+            for _ in range(150):
+                if stack and rng.random() < 0.4:
+                    assert chk.pop() == stack.pop()
+                else:
+                    remaining = [m for m in range(16) if m not in stack]
+                    if not remaining:
+                        continue
+                    mask = rng.choice(remaining)
+                    chk.push(mask)
+                    stack.append(mask)
+                fam = Family.of(4, stack)
+                expected = all(contains_poset_copy(fam, poset) is None for poset in forbidden)
+                assert chk.currently_free() == expected
+
+    def test_pop_empty_raises(self):
+        with pytest.raises(IndexError):
+            IncrementalPosetChecker([v_poset()], 2).pop()
 
 
 class TestLa:

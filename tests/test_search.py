@@ -1,0 +1,102 @@
+from itertools import combinations
+
+import pytest
+
+from knvex.freeness import incremental_checker, is_free
+from knvex.patterns import PatternGraph, make_pattern, parse_pattern
+from knvex.search import max_family_avoiding, vex_bounds, vex_exact
+from knvex.sets import level_slice
+
+from oracles import max_family_size, subgraph_copy_exists
+
+SMALL_PATTERNS = ["K3", "S2", "S3", "C5", "K2,3", "K4", "P4"]
+
+
+def pattern_of(name: str) -> PatternGraph:
+    if name == "P4":
+        return PatternGraph.make(4, [(0, 1), (1, 2), (2, 3)])
+    return parse_pattern(name)
+
+
+def plain_search(n: int, pattern: PatternGraph) -> int:
+    value, _, exact = max_family_avoiding(level_slice(n, 0, n), incremental_checker(pattern, n))
+    assert exact
+    return value
+
+
+class TestVexExact:
+    @pytest.mark.parametrize("name", SMALL_PATTERNS)
+    def test_agrees_with_oracle_up_to_n3(self, name):
+        pattern = pattern_of(name)
+        for n in (1, 2, 3):
+            res = vex_exact(n, pattern)
+            expected = max_family_size(n, lambda fam: not subgraph_copy_exists(fam, pattern))
+            assert res.exact
+            assert res.value == expected
+            assert len(res.witness) == res.value
+            assert not subgraph_copy_exists(res.witness.members, pattern)
+
+    @pytest.mark.parametrize(
+        "name, value", [("C5", 12), ("K3", 12), ("S3", 11), ("K2,3", 13), ("K4", 14)]
+    )
+    def test_frozen_values_at_n4(self, name, value):
+        pattern = pattern_of(name)
+        res = vex_exact(4, pattern)
+        assert res.exact
+        assert res.value == value
+        assert not subgraph_copy_exists(res.witness.members, pattern)
+        # the value is maximal: every family one larger contains a copy
+        assert all(subgraph_copy_exists(fam, pattern) for fam in combinations(range(16), value + 1))
+
+    def test_budgeted_run_at_n10_is_a_verified_lower_bound(self):
+        # 2^10 ground sets: a recursive search driver overflows the stack here
+        pattern = parse_pattern("C5")
+        res = vex_exact(10, pattern, max_nodes=2000)
+        assert not res.exact
+        assert res.upper_bound_source is None
+        assert len(res.witness) == res.value
+        assert is_free(res.witness, pattern)
+
+    def test_n6_needs_a_budget(self):
+        with pytest.raises(ValueError):
+            vex_exact(6, parse_pattern("C5"))
+
+
+class TestShortcuts:
+    @pytest.mark.parametrize("count", [1, 2, 3, 6])
+    def test_edgeless_matches_search(self, count):
+        pattern = PatternGraph.make(count, [])
+        for n in (1, 2, 3):
+            res = vex_exact(n, pattern)
+            assert res.value == plain_search(n, pattern)
+            assert res.lower_bound_source == "trivial:edgeless"
+            assert vex_bounds(n, pattern).lower == vex_bounds(n, pattern).upper == res.value
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matching_matches_search(self, k):
+        pattern = make_pattern("matching", k)
+        for n in (1, 2, 3, 4):
+            res = vex_exact(n, pattern)
+            assert res.exact
+            assert res.value == plain_search(n, pattern)
+            assert is_free(res.witness, pattern)
+            bounds = vex_bounds(n, pattern)
+            assert bounds.lower == bounds.upper == res.value
+
+
+class TestVexBounds:
+    @pytest.mark.parametrize("name", ["K3", "C5", "S3", "K2,3", "K4", "M2", "P4"])
+    def test_sandwich_exact_values(self, name):
+        pattern = pattern_of(name)
+        for n in (2, 3, 4):
+            bounds = vex_bounds(n, pattern)
+            exact = vex_exact(n, pattern).value
+            assert bounds.lower <= exact
+            assert len(bounds.lower_witness) == bounds.lower
+            assert is_free(bounds.lower_witness, pattern)
+            if bounds.upper is not None:
+                assert exact <= bounds.upper
+
+    def test_odd_cycles_get_an_upper_bound(self):
+        for name in ("K3", "C5"):
+            assert vex_bounds(6, parse_pattern(name)).upper_source == "formula:cycle-tail"
