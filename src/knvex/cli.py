@@ -86,6 +86,7 @@ def _cmd_vex(args) -> tuple[RunReport, int]:
         "lower_bound_source": res.lower_bound_source,
         "upper_bound_source": res.upper_bound_source,
         "witness": _family_json(res.witness),
+        "stats": {"nodes": res.nodes},
     }
     return RunReport("vex", params, results), 0 if res.exact else 1
 
@@ -111,6 +112,7 @@ def _cmd_la(args) -> tuple[RunReport, int]:
         "value": res.value,
         "exact": res.exact,
         "witness": _family_json(res.witness),
+        "stats": {"nodes": res.nodes},
     }
     return RunReport("la", params, results), 0 if res.exact else 1
 

@@ -193,7 +193,7 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
         claim = "C4"
     else:
         raise ValueError(f"unknown construction {name!r}")
-    size = _claimed_size(name, n, params) if name != "star" else 1 << (n - 1)
+    size = _claimed_size(name, n, params)
     return NamedConstruction(name, dict(params), fam, size, claim)
 
 

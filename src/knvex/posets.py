@@ -21,7 +21,14 @@ from functools import cached_property
 
 from .freeness import GraphWitness, _narrow, automorphism_orbits, induced_kneser
 from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
-from .sets import Family, complement, family_complement, level_slice, validate_ground
+from .sets import (
+    Family,
+    complement,
+    family_complement,
+    level_slice,
+    symmetric_chains,
+    validate_ground,
+)
 
 MAX_POSET_SIZE = 16
 
@@ -466,6 +473,20 @@ class IncrementalPosetChecker:
     def currently_free(self) -> bool:
         return self._violated_at is None
 
+    @property
+    def chain_cap(self) -> int | None:
+        """Most sets a chain can share with a family free of every forbidden
+        poset: min |P| - 1 over the list, None for an empty list.
+
+        A chain c_1 < ... < c_k of k >= |P| sets contains P weakly: place P's
+        elements along a linear extension on c_1, ..., c_|P|, so p < q goes
+        to an inclusion.  A chain of fewer than |P| sets has no injection
+        from P at all, so the cap is attained.
+        """
+        if not self.forbidden:
+            return None
+        return min(poset.size for poset in self.forbidden) - 1
+
     def _completes_copy(self, new_index: int) -> bool:
         # any new copy must use the set just pushed
         count = len(self._masks)
@@ -484,6 +505,22 @@ class LaResult:
     value: int
     witness: Family
     exact: bool
+    nodes: int
+
+
+def _rotated_chain_partitions(n: int) -> list[list[int]]:
+    """The n cyclic relabellings x -> x + s (mod n) of symmetric_chains(n),
+    each as a list mapping a mask to the index of its chain."""
+    full = (1 << n) - 1
+    chains = symmetric_chains(n)
+    partitions = []
+    for s in range(n):
+        group = [0] * (1 << n)
+        for g, chain_sets in enumerate(chains):
+            for m in chain_sets:
+                group[(m << s | m >> (n - s)) & full] = g
+        partitions.append(group)
+    return partitions
 
 
 def la(
@@ -495,8 +532,13 @@ def la(
 ) -> LaResult:
     """Largest family in 2^[n] avoiding weak copies of every forbidden poset.
 
-    Exact for n <= 5 (branch and bound over the 2^n ground elements); with an
-    exhausted node budget the value is still a certified lower bound.
+    Exact for n <= 5 by branch and bound over the 2^n ground elements; with
+    an exhausted node budget the value is still a certified lower bound.
+    The search is bounded by the chain capacity: a family free of every
+    forbidden poset meets each chain in at most chain_cap sets, so each of
+    the n cyclic relabellings of the symmetric chain decomposition bounds
+    it.  Free middle-level windows seed the incumbent.  nodes counts the
+    branch-and-bound nodes visited.
     """
     validate_ground(n)
     if n > 5:
@@ -504,17 +546,26 @@ def la(
     from .search import max_family_avoiding  # deferred: search imports this module
 
     ground = level_slice(n, 0, n)
-    # middle-level windows seed the incumbent when they happen to be free
     seeds = []
     for width in (1, 2):
         lo = (n - width + 1) // 2
         if lo + width - 1 <= n:
-            seeds.append(level_slice(n, lo, lo + width - 1))
+            window = level_slice(n, lo, lo + width - 1)
+            if all(contains_poset_copy(window, poset) is None for poset in forbidden):
+                seeds.append(window)
     checker = IncrementalPosetChecker(forbidden, n)
-    value, witness, exact = max_family_avoiding(
-        ground, checker, symmetric=symmetric, seeds=seeds, max_nodes=max_nodes
+    cap = checker.chain_cap
+    partitions = _rotated_chain_partitions(n) if cap is not None else ()
+    value, witness, exact, nodes = max_family_avoiding(
+        ground,
+        checker,
+        symmetric=symmetric,
+        seeds=seeds,
+        max_nodes=max_nodes,
+        partitions=partitions,
+        cap=cap,
     )
-    return LaResult(value, witness, exact)
+    return LaResult(value, witness, exact, nodes)
 
 
 @dataclass(frozen=True)

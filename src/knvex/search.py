@@ -3,9 +3,16 @@
 The engine maximizes a family subject to any monotone incremental oracle
 (push/pop/currently_free); graph-pattern avoidance and poset avoidance both
 fit.  Ground elements are processed middle levels first (level distance from
-n/2, ties by mask), include-branch first, with the trivial capacity bound
-current + remaining.  Construction seeds make the known lower bounds live
-pruning devices.
+n/2, ties by mask), include-branch first.  A node is pruned when a bound on
+the families below it is no larger than the incumbent.  The base bound is
+current + remaining.  A caller may also pass partitions of the ground with a
+cap, such that no feasible family holds more than cap sets of one group.
+Each partition p then gives the bound limit_p = current + the sum over its
+groups g of min(undecided_g, cap - chosen_g).  Including a set leaves
+limit_p unchanged; excluding one lowers it by one exactly when its group's
+undecided count is at most cap - chosen_g.  La passes symmetric chain
+decompositions with cap |P| - 1 (Lubell's chain argument).  Certified
+construction seeds make the known lower bounds live pruning devices.
 
 For matchings the complement-pair argument closes the search outright: a
 family doubling k+1 complement pairs spans k+1 disjoint edges, so at most
@@ -15,6 +22,7 @@ k pairs may be doubled, and the doubling construction meets that cap.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import constructions, freeness, posets
@@ -30,6 +38,7 @@ class VexResult:
     exact: bool
     lower_bound_source: str
     upper_bound_source: str | None
+    nodes: int
 
 
 @dataclass(frozen=True)
@@ -49,14 +58,23 @@ def max_family_avoiding(
     seeds: tuple[Family, ...] | list[Family] = (),
     max_nodes: int | None = None,
     deadline: float | None = None,
-    prune: bool = True,
-) -> tuple[int, Family, bool]:
+    partitions: Sequence = (),
+    cap: int | None = None,
+) -> tuple[int, Family, bool, int]:
     """Largest subset of the ground family that keeps the oracle satisfied.
 
     The oracle must be monotone: pushing more sets never clears a violation.
     In symmetric mode complement pairs are branched jointly (both or
-    neither), so the result is complement-closed.  Returns (value, witness,
-    exact); with an exhausted budget the value is a certified lower bound.
+    neither), so the result is complement-closed.  Seeds are families the
+    caller has already certified free; the largest one that lies in the
+    ground (and is complement-closed, in symmetric mode) becomes the first
+    incumbent without being pushed.
+
+    Each partition maps every ground set to a group such that no feasible
+    family holds more than cap sets of one group; see the module docstring.
+
+    Returns (value, witness, exact, nodes); with an exhausted budget the
+    value is a certified lower bound.
     """
     n = ground.n
     ordered = sorted(ground.members, key=lambda m: (abs(2 * m.bit_count() - n), m))
@@ -79,7 +97,7 @@ def max_family_avoiding(
     for i in range(len(units) - 1, -1, -1):
         capacity[i] = capacity[i + 1] + len(units[i])
 
-    best = -1
+    best = 0
     best_masks: list[int] = []
     for seed in seeds:
         if len(seed) <= best:
@@ -88,22 +106,31 @@ def max_family_avoiding(
             continue
         if symmetric and any(complement(m, n) not in seed.member_set for m in seed):
             continue
-        for m in seed:
-            checker.push(m)
-        ok = checker.currently_free()
-        for _ in seed:
-            checker.pop()
-        if ok:
-            best = len(seed)
-            best_masks = list(seed.members)
-    if best < 0:
-        best = 0
-        best_masks = []
+        best = len(seed)
+        best_masks = list(seed.members)
 
+    search_args = (units, capacity, checker, best, best_masks, max_nodes, deadline)
+    if partitions:
+        best, best_masks, exact, nodes = _search_partitioned(*search_args, partitions, cap)
+    else:
+        best, best_masks, exact, nodes = _search(*search_args)
+    return best, Family.of(n, best_masks), exact, nodes
+
+
+# Searches with a deadline look at the clock once every 1024 nodes.
+_CHECK_EVERY = 1023
+
+
+def _search(units, capacity, checker, best, best_masks, max_nodes, deadline):
+    """Depth-first branch and bound under the base bound alone.
+
+    Kept apart from _search_partitioned so that a search without partitions
+    does no bookkeeping for them per node.  Returns (best, best_masks,
+    exact, nodes).
+    """
     nodes = 0
     exhausted = False
     chosen: list[int] = []
-    check_every = 1023
     # Explicit stack instead of recursion: the tree is one level per unit,
     # 2^n deep, and visits nodes in the order the recursion did (include
     # branch first).  A frame is (i, count, None) on entry to a node, or
@@ -119,19 +146,18 @@ def max_family_avoiding(
             continue
         if exhausted:
             continue
+        if (max_nodes is not None and nodes >= max_nodes) or (
+            deadline is not None and nodes & _CHECK_EVERY == 0 and time.monotonic() > deadline
+        ):
+            exhausted = True
+            continue
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            exhausted = True
-            continue
-        if deadline is not None and nodes & check_every == 0 and time.monotonic() > deadline:
-            exhausted = True
-            continue
         if count > best:
             best = count
             best_masks = list(chosen)
         if i == len(units):
             continue
-        if prune and count + capacity[i] <= best:
+        if count + capacity[i] <= best:
             continue
         unit = units[i]
         for m in unit:
@@ -144,8 +170,91 @@ def max_family_avoiding(
             for _ in unit:
                 checker.pop()
             stack.append((i + 1, count, None))
+    return best, best_masks, not exhausted, nodes
 
-    return best, Family.of(n, best_masks), not exhausted
+
+def _search_partitioned(
+    units, capacity, checker, best, best_masks, max_nodes, deadline, partitions, cap
+):
+    """_search with the partition bounds of the module docstring on top.
+
+    used[slot] counts the chosen sets of one group of one partition.
+    unit_bounds[i] lists, for each set of unit i in order and each partition
+    p, (p, slot, cap - r), where r is the number of the group's sets not
+    decided before that set.  Excluding the set lowers limit_p by one
+    exactly when r <= cap - used[slot].  Frames carry the limits of their
+    node: (i, count, None, limits) or (i, count, unit, limits).
+    """
+    slot_of: dict[tuple[int, object], int] = {}
+    for p, partition in enumerate(partitions):
+        for unit in units:
+            for m in unit:
+                slot_of.setdefault((p, partition[m]), len(slot_of))
+    undecided = [0] * len(slot_of)
+    unit_bounds: list[tuple[tuple[int, int, int], ...]] = [()] * len(units)
+    for i in range(len(units) - 1, -1, -1):
+        entries = []
+        for m in reversed(units[i]):
+            for p, partition in enumerate(partitions):
+                slot = slot_of[p, partition[m]]
+                undecided[slot] += 1
+                entries.append((p, slot, cap - undecided[slot]))
+        unit_bounds[i] = tuple(reversed(entries))
+    limits = [0] * len(partitions)
+    for (p, _), slot in slot_of.items():
+        limits[p] += min(undecided[slot], cap)
+    used = [0] * len(slot_of)
+
+    def excluded(i: int, limits: list[int]) -> list[int]:
+        lowered = list(limits)
+        for p, slot, threshold in unit_bounds[i]:
+            if used[slot] <= threshold:
+                lowered[p] -= 1
+        return lowered
+
+    nodes = 0
+    exhausted = False
+    chosen: list[int] = []
+    stack: list[tuple] = [(0, 0, None, limits)]
+    while stack:
+        i, count, undo, limits = stack.pop()
+        if undo is not None:
+            del chosen[len(chosen) - len(undo):]
+            for _ in undo:
+                checker.pop()
+            for _, slot, _ in unit_bounds[i]:
+                used[slot] -= 1
+            stack.append((i + 1, count, None, excluded(i, limits)))
+            continue
+        if exhausted:
+            continue
+        if (max_nodes is not None and nodes >= max_nodes) or (
+            deadline is not None and nodes & _CHECK_EVERY == 0 and time.monotonic() > deadline
+        ):
+            exhausted = True
+            continue
+        nodes += 1
+        if count > best:
+            best = count
+            best_masks = list(chosen)
+        if i == len(units):
+            continue
+        if count + capacity[i] <= best or min(limits) <= best:
+            continue
+        unit = units[i]
+        for m in unit:
+            checker.push(m)
+        if checker.currently_free():
+            chosen.extend(unit)
+            for _, slot, _ in unit_bounds[i]:
+                used[slot] += 1
+            stack.append((i, count, unit, limits))
+            stack.append((i + 1, count + len(unit), None, limits))
+        else:
+            for _ in unit:
+                checker.pop()
+            stack.append((i + 1, count, None, excluded(i, limits)))
+    return best, best_masks, not exhausted, nodes
 
 
 def _verified_lower_candidates(n: int, pattern: PatternGraph) -> list[tuple[Family, str]]:
@@ -176,11 +285,24 @@ def _verified_lower_candidates(n: int, pattern: PatternGraph) -> list[tuple[Fami
     return verified
 
 
-def _pure_matching_edges(pattern: PatternGraph) -> int | None:
-    """Edge count when every vertex has degree exactly 1, else None."""
-    if pattern.edge_count >= 1 and all(d == 1 for d in pattern.degrees):
-        return pattern.edge_count
-    return None
+def _structural_value(n: int, pattern: PatternGraph) -> tuple[int, Family, str, str] | None:
+    """(value, witness, lower source, upper source) for edgeless patterns and
+    matchings, which resolve at any ground size; None for other patterns."""
+    if pattern.edge_count == 0:
+        value = min(1 << n, pattern.vertex_count - 1)
+        return value, Family.of(n, range(value)), "trivial:edgeless", "trivial:edgeless"
+
+    if not all(d == 1 for d in pattern.degrees):
+        return None
+    k = pattern.edge_count - 1
+    half = 1 << (n - 1)
+    if k >= half:
+        # the cube's maximum matching is 2^(n-1), too small for the pattern
+        return 1 << n, level_slice(n, 0, n), "whole-cube", "complement-pair-bound"
+    witness = constructions.matching_extremal(n, k)
+    if not freeness.is_free(witness, pattern):
+        raise AssertionError("doubling construction failed its freeness certificate")
+    return half + k, witness, "construction:matching_extremal", "complement-pair-bound"
 
 
 def vex_exact(
@@ -192,53 +314,37 @@ def vex_exact(
 ) -> VexResult:
     """Most Kneser-cube vertices spanning a pattern-free subgraph, with witness.
 
-    Matchings resolve structurally at any ground size.  Otherwise branch and
-    bound handles n <= 5; larger n requires an explicit budget and may come
-    back non-exact (the value then certifies a lower bound).
+    Edgeless patterns and matchings resolve structurally at any ground size.
+    Otherwise branch and bound handles n <= 5; larger n requires an explicit
+    budget and may come back non-exact (the value then certifies a lower
+    bound).  nodes counts the branch-and-bound nodes visited.
     """
     validate_ground(n)
-    if pattern.edge_count == 0:
-        value = min(1 << n, pattern.vertex_count - 1)
-        witness = Family.of(n, range(value))
-        return VexResult(value, witness, True, "trivial:edgeless", "trivial:edgeless")
-
-    edges = _pure_matching_edges(pattern)
-    if edges is not None:
-        k = edges - 1
-        half = 1 << (n - 1)
-        if k >= half:
-            # the cube's maximum matching is 2^(n-1), too small for the pattern
-            witness = level_slice(n, 0, n)
-            return VexResult(1 << n, witness, True, "whole-cube", "complement-pair-bound")
-        witness = constructions.matching_extremal(n, k)
-        if not freeness.is_free(witness, pattern):
-            raise AssertionError("doubling construction failed its freeness certificate")
-        return VexResult(
-            half + k, witness, True, "construction:matching_extremal", "complement-pair-bound"
-        )
+    shortcut = _structural_value(n, pattern)
+    if shortcut is not None:
+        value, witness, lower_source, upper_source = shortcut
+        return VexResult(value, witness, True, lower_source, upper_source, 0)
 
     if n > 5 and max_nodes is None and timeout is None:
         raise ValueError("n > 5 needs an explicit budget (max_nodes or timeout)")
     deadline = time.monotonic() + timeout if timeout is not None else None
     seeds = _verified_lower_candidates(n, pattern)
     checker = freeness.incremental_checker(pattern, n)
-    value, witness, exact = max_family_avoiding(
+    value, witness, exact, nodes = max_family_avoiding(
         level_slice(n, 0, n),
         checker,
         seeds=[fam for fam, _ in seeds],
         max_nodes=max_nodes,
         deadline=deadline,
     )
-    if not freeness.is_free(witness, pattern):
-        raise AssertionError("search produced a witness that fails re-verification")
-    source = "search:branch-and-bound"
-    for fam, label in seeds:
-        if witness == fam:
-            source = label
-            break
-    if exact:
-        return VexResult(value, witness, True, source, "search:branch-and-bound")
-    return VexResult(value, witness, False, source, None)
+    # a seed witness was certified before the search; only a found one is re-checked
+    source = next((label for fam, label in seeds if witness == fam), None)
+    if source is None:
+        if not freeness.is_free(witness, pattern):
+            raise AssertionError("search produced a witness that fails re-verification")
+        source = "search:branch-and-bound"
+    upper_source = "search:branch-and-bound" if exact else None
+    return VexResult(value, witness, exact, source, upper_source, nodes)
 
 
 def vex_bounds(n: int, pattern: PatternGraph) -> VexBounds:
@@ -248,25 +354,10 @@ def vex_bounds(n: int, pattern: PatternGraph) -> VexBounds:
     patterns carry only the lower bound (their upper bounds are asymptotic).
     """
     validate_ground(n)
-    if pattern.edge_count == 0:
-        value = min(1 << n, pattern.vertex_count - 1)
-        witness = Family.of(n, range(value))
-        return VexBounds(value, witness, "trivial:edgeless", value, "trivial:edgeless")
-
-    edges = _pure_matching_edges(pattern)
-    if edges is not None:
-        k = edges - 1
-        half = 1 << (n - 1)
-        if k >= half:
-            witness = level_slice(n, 0, n)
-            return VexBounds(1 << n, witness, "whole-cube", 1 << n, "complement-pair-bound")
-        witness = constructions.matching_extremal(n, k)
-        if not freeness.is_free(witness, pattern):
-            raise AssertionError("doubling construction failed its freeness certificate")
-        return VexBounds(
-            half + k, witness, "construction:matching_extremal", half + k,
-            "complement-pair-bound",
-        )
+    shortcut = _structural_value(n, pattern)
+    if shortcut is not None:
+        value, witness, lower_source, upper_source = shortcut
+        return VexBounds(value, witness, lower_source, value, upper_source)
 
     candidates = _verified_lower_candidates(n, pattern)
     if not candidates:

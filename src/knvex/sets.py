@@ -128,6 +128,28 @@ def level_slice(n: int, lo: int, hi: int) -> Family:
     return Family.of(n, masks)
 
 
+def symmetric_chains(n: int) -> list[tuple[int, ...]]:
+    """Symmetric chain decomposition of 2^[n] (de Bruijn, van Ebbenhorst
+    Tengbergen and Kruyswijk, 1951), each chain listed bottom up.
+
+    The standard recursion adds the elements 1..n in turn: adding e, each
+    chain C = (c_1, ..., c_k) becomes C + (c_k | {e}) and, when k > 1, also
+    (c_1 | {e}, ..., c_{k-1} | {e}).  The chains partition 2^[n], each runs
+    through the levels j..n-j one set per level, so there are C(n, n//2).
+    """
+    validate_ground(n)
+    chains = [(0,)]
+    for e in range(n):
+        bit = 1 << e
+        grown = []
+        for c in chains:
+            grown.append(c + (c[-1] | bit,))
+            if len(c) > 1:
+                grown.append(tuple(m | bit for m in c[:-1]))
+        chains = grown
+    return chains
+
+
 def binom_tail(n: int, m: int, direction: str = "le") -> int:
     """Exact sum of binomials: sum of C(n,i) for i <= m ("le") or i >= m ("ge")."""
     validate_ground(n)

@@ -19,6 +19,7 @@ class TestExitCodes:
         assert report["command"] == "vex"
         assert report["results"]["value"] == 12
         assert report["results"]["exact"] is True
+        assert report["results"]["stats"]["nodes"] > 0
 
     def test_budgeted_run_exits_1_with_a_lower_bound(self, capsys):
         code, out, _ = run(capsys, "vex", "--n", "10", "--pattern", "C5", "--budget", "2000")
@@ -32,6 +33,7 @@ class TestExitCodes:
         code, out, _ = run(capsys, "la", "--n", "4", "--poset", "butterfly", "--budget", "5")
         assert code == 1
         assert json.loads(out)["results"]["exact"] is False
+        assert json.loads(out)["results"]["stats"] == {"nodes": 5}
 
     @pytest.mark.parametrize(
         "argv",

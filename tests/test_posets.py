@@ -261,6 +261,25 @@ class TestIncrementalPosetChecker:
         with pytest.raises(IndexError):
             IncrementalPosetChecker([v_poset()], 2).pop()
 
+    @pytest.mark.parametrize(
+        "name", ["chain2", "chain3", "antichain4", "V", "Lambda", "butterfly", "crown6", "K2,1,3"]
+    )
+    def test_chain_cap_is_attained(self, name):
+        poset = named_poset(name)
+        # the larger crown8 leaves the minimum over the list to poset
+        chk = IncrementalPosetChecker([poset, crown(8)], poset.size)
+        cap = chk.chain_cap
+        assert cap == poset.size - 1
+        # a cap-chain is free, a (cap+1)-chain is a violation
+        for k in range(cap):
+            chk.push((1 << k) - 1)
+        assert chk.currently_free()
+        chk.push((1 << cap) - 1)
+        assert not chk.currently_free()
+
+    def test_empty_list_has_no_chain_cap(self):
+        assert IncrementalPosetChecker([], 3).chain_cap is None
+
 
 class TestLa:
     def test_sperner_values(self):
@@ -294,11 +313,58 @@ class TestLa:
         with pytest.raises(ValueError):
             la(6, [chain(2)])
 
+    def test_empty_list_keeps_the_whole_cube(self):
+        assert la(3, []).value == 8
+
+    @pytest.mark.parametrize(
+        "forbidden, symmetric, value, nodes",
+        [
+            ([v_poset()], False, 13, 172_806),
+            ([lambda_poset()], True, 12, 909),
+            ([butterfly()], True, 20, 1_070),
+        ],
+    )
+    def test_frozen_values_at_n5(self, forbidden, symmetric, value, nodes):
+        res = la(5, forbidden, symmetric)
+        assert res.exact
+        assert res.value == value
+        assert res.nodes == nodes
+        assert all(contains_poset_copy(res.witness, poset) is None for poset in forbidden)
+
+    def test_chain_bound_keeps_answers_and_saves_nodes(self, monkeypatch):
+        rng = random.Random(41)
+        cases = []
+        for _ in range(40):
+            forbidden = []
+            for _ in range(rng.randint(1, 2)):
+                size = rng.randint(2, 4)
+                pairs = [
+                    (p, q) for p in range(size) for q in range(p + 1, size) if rng.random() < 0.5
+                ]
+                perm = rng.sample(range(size), size)
+                forbidden.append(Poset.from_relations(size, [(perm[p], perm[q]) for p, q in pairs]))
+            cases.append((rng.randint(2, 4), forbidden, rng.random() < 0.5))
+        cases += [(4, [NAMED_POSETS[name]], sym) for name in NAMED_POSETS for sym in (False, True)]
+        bounded = [la(n, forbidden, symmetric) for n, forbidden, symmetric in cases]
+        # without a cap la passes no partitions: the search of the trivial bound alone
+        monkeypatch.setattr(IncrementalPosetChecker, "chain_cap", property(lambda self: None))
+        saved = 0
+        for (n, forbidden, symmetric), res in zip(cases, bounded):
+            plain = la(n, forbidden, symmetric)
+            assert (res.value, res.witness, res.exact) == (plain.value, plain.witness, plain.exact)
+            assert res.nodes <= plain.nodes
+            saved += plain.nodes - res.nodes
+        assert saved > 0
+
     def test_budget_returns_lower_bound(self):
-        res = la(4, [chain(2)], max_nodes=5)
+        res = la(4, [v_poset()], max_nodes=5)
         assert not res.exact
         assert res.value <= 6
         assert len(res.witness) == res.value
+        # Sperner: the chain bound meets the middle-level seed at the root
+        res = la(4, [chain(2)])
+        assert res.exact
+        assert res.nodes == 1
 
 
 class TestEOfPoset:

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from knvex import freeness
 from knvex.freeness import incremental_checker, is_free
 from knvex.patterns import PatternGraph, make_pattern, parse_pattern
 from knvex.search import max_family_avoiding, vex_bounds, vex_exact
@@ -19,7 +20,7 @@ def pattern_of(name: str) -> PatternGraph:
 
 
 def plain_search(n: int, pattern: PatternGraph) -> int:
-    value, _, exact = max_family_avoiding(level_slice(n, 0, n), incremental_checker(pattern, n))
+    value, _, exact, _ = max_family_avoiding(level_slice(n, 0, n), incremental_checker(pattern, n))
     assert exact
     return value
 
@@ -62,6 +63,53 @@ class TestVexExact:
             vex_exact(6, parse_pattern("C5"))
 
 
+class TestSeedWork:
+    @pytest.fixture
+    def is_free_calls(self, monkeypatch):
+        calls = []
+        real = freeness.is_free
+
+        def counting(fam, pattern):
+            calls.append(len(fam))
+            return real(fam, pattern)
+
+        monkeypatch.setattr(freeness, "is_free", counting)
+        return calls
+
+    def test_seed_witness_is_certified_once(self, is_free_calls):
+        res = vex_exact(8, parse_pattern("C5"), max_nodes=10)
+        assert res.lower_bound_source == "construction:threshold"
+        # star (128 sets) and threshold (163 sets), each certified once
+        assert is_free_calls == [128, 163]
+
+    def test_found_witness_is_rechecked(self, is_free_calls):
+        res = vex_exact(4, parse_pattern("C5"))
+        assert res.lower_bound_source == "search:branch-and-bound"
+        assert is_free_calls == [8, 11, 12]
+
+    def test_seeds_are_not_pushed(self):
+        class CountingChecker:
+            def __init__(self, inner):
+                self.inner = inner
+                self.pushes = 0
+
+            def push(self, mask):
+                self.pushes += 1
+                self.inner.push(mask)
+
+            def pop(self):
+                return self.inner.pop()
+
+            def currently_free(self):
+                return self.inner.currently_free()
+
+        checker = CountingChecker(incremental_checker(parse_pattern("C5"), 4))
+        seed = level_slice(4, 2, 4)
+        result = max_family_avoiding(level_slice(4, 0, 4), checker, seeds=[seed], max_nodes=0)
+        assert result == (11, seed, False, 0)
+        assert checker.pushes == 0
+
+
 class TestShortcuts:
     @pytest.mark.parametrize("count", [1, 2, 3, 6])
     def test_edgeless_matches_search(self, count):
@@ -70,6 +118,7 @@ class TestShortcuts:
             res = vex_exact(n, pattern)
             assert res.value == plain_search(n, pattern)
             assert res.lower_bound_source == "trivial:edgeless"
+            assert res.nodes == 0
             assert vex_bounds(n, pattern).lower == vex_bounds(n, pattern).upper == res.value
 
     @pytest.mark.parametrize("k", [1, 2, 3])

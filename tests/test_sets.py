@@ -15,6 +15,7 @@ from knvex.sets import (
     kneser_adjacent,
     level_slice,
     mask_of,
+    symmetric_chains,
     upset,
 )
 
@@ -102,6 +103,19 @@ class TestLevelSlice:
             level_slice(4, 3, 2)
         with pytest.raises(ValueError):
             level_slice(4, 0, 5)
+
+
+class TestSymmetricChains:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symmetric_chain_decomposition(self, n):
+        chains = symmetric_chains(n)
+        assert len(chains) == comb(n, n // 2)
+        # every set of 2^[n] lies on exactly one chain
+        assert sorted(m for c in chains for m in c) == list(range(1 << n))
+        for c in chains:
+            low = c[0].bit_count()
+            assert [m.bit_count() for m in c] == list(range(low, n - low + 1))
+            assert all(a & b == a for a, b in zip(c, c[1:]))
 
 
 class TestBinomTail:
