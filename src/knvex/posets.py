@@ -555,7 +555,7 @@ def la(
                 seeds.append(window)
     checker = IncrementalPosetChecker(forbidden, n)
     cap = checker.chain_cap
-    partitions = _rotated_chain_partitions(n) if cap is not None else ()
+    partitions = (cap, _rotated_chain_partitions(n)) if cap is not None else None
     value, witness, exact, nodes = max_family_avoiding(
         ground,
         checker,
@@ -563,7 +563,6 @@ def la(
         seeds=seeds,
         max_nodes=max_nodes,
         partitions=partitions,
-        cap=cap,
     )
     return LaResult(value, witness, exact, nodes)
 

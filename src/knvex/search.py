@@ -58,8 +58,7 @@ def max_family_avoiding(
     seeds: tuple[Family, ...] | list[Family] = (),
     max_nodes: int | None = None,
     deadline: float | None = None,
-    partitions: Sequence = (),
-    cap: int | None = None,
+    partitions: tuple[int, Sequence[Sequence[object]]] | None = None,
 ) -> tuple[int, Family, bool, int]:
     """Largest subset of the ground family that keeps the oracle satisfied.
 
@@ -70,8 +69,9 @@ def max_family_avoiding(
     ground (and is complement-closed, in symmetric mode) becomes the first
     incumbent without being pushed.
 
-    Each partition maps every ground set to a group such that no feasible
-    family holds more than cap sets of one group; see the module docstring.
+    partitions is None or a pair (cap, maps): each map sends every ground
+    set (indexed by mask) to a group, and no feasible family holds more
+    than cap sets of one group; see the module docstring.
 
     Returns (value, witness, exact, nodes); with an exhausted budget the
     value is a certified lower bound.
@@ -109,112 +109,15 @@ def max_family_avoiding(
         best = len(seed)
         best_masks = list(seed.members)
 
-    search_args = (units, capacity, checker, best, best_masks, max_nodes, deadline)
-    if partitions:
-        best, best_masks, exact, nodes = _search_partitioned(*search_args, partitions, cap)
-    else:
-        best, best_masks, exact, nodes = _search(*search_args)
-    return best, Family.of(n, best_masks), exact, nodes
-
-
-# Searches with a deadline look at the clock once every 1024 nodes.
-_CHECK_EVERY = 1023
-
-
-def _search(units, capacity, checker, best, best_masks, max_nodes, deadline):
-    """Depth-first branch and bound under the base bound alone.
-
-    Kept apart from _search_partitioned so that a search without partitions
-    does no bookkeeping for them per node.  Returns (best, best_masks,
-    exact, nodes).
-    """
+    unit_bounds, limits, used = _partition_bounds(units, partitions)
     nodes = 0
     exhausted = False
     chosen: list[int] = []
     # Explicit stack instead of recursion: the tree is one level per unit,
     # 2^n deep, and visits nodes in the order the recursion did (include
-    # branch first).  A frame is (i, count, None) on entry to a node, or
-    # (i, count, unit) once its include branch is done and unit must be undone.
-    stack: list[tuple[int, int, tuple[int, ...] | None]] = [(0, 0, None)]
-    while stack:
-        i, count, undo = stack.pop()
-        if undo is not None:
-            del chosen[len(chosen) - len(undo):]
-            for _ in undo:
-                checker.pop()
-            stack.append((i + 1, count, None))
-            continue
-        if exhausted:
-            continue
-        if (max_nodes is not None and nodes >= max_nodes) or (
-            deadline is not None and nodes & _CHECK_EVERY == 0 and time.monotonic() > deadline
-        ):
-            exhausted = True
-            continue
-        nodes += 1
-        if count > best:
-            best = count
-            best_masks = list(chosen)
-        if i == len(units):
-            continue
-        if count + capacity[i] <= best:
-            continue
-        unit = units[i]
-        for m in unit:
-            checker.push(m)
-        if checker.currently_free():
-            chosen.extend(unit)
-            stack.append((i, count, unit))
-            stack.append((i + 1, count + len(unit), None))
-        else:
-            for _ in unit:
-                checker.pop()
-            stack.append((i + 1, count, None))
-    return best, best_masks, not exhausted, nodes
-
-
-def _search_partitioned(
-    units, capacity, checker, best, best_masks, max_nodes, deadline, partitions, cap
-):
-    """_search with the partition bounds of the module docstring on top.
-
-    used[slot] counts the chosen sets of one group of one partition.
-    unit_bounds[i] lists, for each set of unit i in order and each partition
-    p, (p, slot, cap - r), where r is the number of the group's sets not
-    decided before that set.  Excluding the set lowers limit_p by one
-    exactly when r <= cap - used[slot].  Frames carry the limits of their
-    node: (i, count, None, limits) or (i, count, unit, limits).
-    """
-    slot_of: dict[tuple[int, object], int] = {}
-    for p, partition in enumerate(partitions):
-        for unit in units:
-            for m in unit:
-                slot_of.setdefault((p, partition[m]), len(slot_of))
-    undecided = [0] * len(slot_of)
-    unit_bounds: list[tuple[tuple[int, int, int], ...]] = [()] * len(units)
-    for i in range(len(units) - 1, -1, -1):
-        entries = []
-        for m in reversed(units[i]):
-            for p, partition in enumerate(partitions):
-                slot = slot_of[p, partition[m]]
-                undecided[slot] += 1
-                entries.append((p, slot, cap - undecided[slot]))
-        unit_bounds[i] = tuple(reversed(entries))
-    limits = [0] * len(partitions)
-    for (p, _), slot in slot_of.items():
-        limits[p] += min(undecided[slot], cap)
-    used = [0] * len(slot_of)
-
-    def excluded(i: int, limits: list[int]) -> list[int]:
-        lowered = list(limits)
-        for p, slot, threshold in unit_bounds[i]:
-            if used[slot] <= threshold:
-                lowered[p] -= 1
-        return lowered
-
-    nodes = 0
-    exhausted = False
-    chosen: list[int] = []
+    # branch first).  A frame is (i, count, None, limits) on entry to a node,
+    # or (i, count, unit, limits) once its include branch is done and unit
+    # must be undone; limits are the node's partition bounds.
     stack: list[tuple] = [(0, 0, None, limits)]
     while stack:
         i, count, undo, limits = stack.pop()
@@ -224,37 +127,80 @@ def _search_partitioned(
                 checker.pop()
             for _, slot, _ in unit_bounds[i]:
                 used[slot] -= 1
-            stack.append((i + 1, count, None, excluded(i, limits)))
-            continue
-        if exhausted:
-            continue
-        if (max_nodes is not None and nodes >= max_nodes) or (
-            deadline is not None and nodes & _CHECK_EVERY == 0 and time.monotonic() > deadline
-        ):
-            exhausted = True
-            continue
-        nodes += 1
-        if count > best:
-            best = count
-            best_masks = list(chosen)
-        if i == len(units):
-            continue
-        if count + capacity[i] <= best or min(limits) <= best:
-            continue
-        unit = units[i]
-        for m in unit:
-            checker.push(m)
-        if checker.currently_free():
-            chosen.extend(unit)
-            for _, slot, _ in unit_bounds[i]:
-                used[slot] += 1
-            stack.append((i, count, unit, limits))
-            stack.append((i + 1, count + len(unit), None, limits))
         else:
+            if exhausted:
+                continue
+            if (max_nodes is not None and nodes >= max_nodes) or (
+                deadline is not None and nodes & _CHECK_EVERY == 0 and time.monotonic() > deadline
+            ):
+                exhausted = True
+                continue
+            nodes += 1
+            if count > best:
+                best = count
+                best_masks = list(chosen)
+            if i == len(units):
+                continue
+            if count + capacity[i] <= best or (limits and min(limits) <= best):
+                continue
+            unit = units[i]
+            for m in unit:
+                checker.push(m)
+            if checker.currently_free():
+                chosen.extend(unit)
+                for _, slot, _ in unit_bounds[i]:
+                    used[slot] += 1
+                stack.append((i, count, unit, limits))
+                stack.append((i + 1, count + len(unit), None, limits))
+                continue
             for _ in unit:
                 checker.pop()
-            stack.append((i + 1, count, None, excluded(i, limits)))
-    return best, best_masks, not exhausted, nodes
+        # the exclude branch of node i
+        if unit_bounds[i]:
+            limits = list(limits)
+            for p, slot, threshold in unit_bounds[i]:
+                if used[slot] <= threshold:
+                    limits[p] -= 1
+        stack.append((i + 1, count, None, limits))
+    return best, Family.of(n, best_masks), not exhausted, nodes
+
+
+# Searches with a deadline look at the clock once every 1024 nodes.
+_CHECK_EVERY = 1023
+
+
+def _partition_bounds(units, partitions):
+    """(unit_bounds, limits, used) for the partition bounds of max_family_avoiding.
+
+    Each group of each partition gets a slot; used[slot] counts its chosen
+    sets.  unit_bounds[i] lists, for each set of unit i in order and each
+    partition p, (p, slot, cap - r), where r is the number of the group's
+    sets not decided before that set: excluding the set lowers limit_p by
+    one exactly when r <= cap - used[slot].  limits holds limit_p at the
+    root.  Without partitions every unit_bounds[i] and limits are empty.
+    """
+    if partitions is None:
+        return [()] * len(units), [], []
+    cap, maps = partitions
+    slot_of: dict[tuple[int, object], int] = {}
+    for p, group in enumerate(maps):
+        for unit in units:
+            for m in unit:
+                slot_of.setdefault((p, group[m]), len(slot_of))
+    undecided = [0] * len(slot_of)
+    unit_bounds: list[tuple[tuple[int, int, int], ...]] = [()] * len(units)
+    for i in range(len(units) - 1, -1, -1):
+        entries = []
+        for m in reversed(units[i]):
+            for p, group in enumerate(maps):
+                slot = slot_of[p, group[m]]
+                undecided[slot] += 1
+                entries.append((p, slot, cap - undecided[slot]))
+        unit_bounds[i] = tuple(reversed(entries))
+    limits = [0] * len(maps)
+    for (p, _), slot in slot_of.items():
+        limits[p] += min(undecided[slot], cap)
+    return unit_bounds, limits, [0] * len(slot_of)
 
 
 def _verified_lower_candidates(n: int, pattern: PatternGraph) -> list[tuple[Family, str]]:
