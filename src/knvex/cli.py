@@ -23,7 +23,7 @@ from .cycle import double_count_check
 from .patterns import PatternGraph, parse_pattern, pattern_from_text
 from .posets import Poset, e_of_poset, la, named_poset, poset_from_text
 from .search import vex_bounds, vex_exact
-from .sets import Family, elements_of, family_from_text, random_family
+from .sets import Family, elements_of, family_from_text, random_family, validate_ground
 
 
 @dataclass
@@ -94,6 +94,11 @@ def _cmd_vex(args) -> tuple[RunReport, int]:
 def _cmd_table(args) -> tuple[RunReport | None, int]:
     pattern = _load_pattern(args.pattern)
     lo, hi = args.n_range
+    # checked before the header, so a rejected range prints nothing
+    if lo > hi:
+        raise ValueError(f"empty range {lo}..{hi}")
+    validate_ground(lo)
+    validate_ground(hi)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "lower", "upper", "exact"])
     for n in range(lo, hi + 1):
@@ -184,7 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, help="named pattern (M2, S3, C5, K4, K2,3) or file")
     p.add_argument("--bounds", action="store_true", help="sandwich bounds, not the exact value")
     p.add_argument("--budget", type=int, default=None, help="node budget for the search")
-    p.add_argument("--timeout", type=float, default=None, help="wall-clock budget in seconds")
+    p.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="wall-clock budget in seconds for the branch-and-bound search; certifying the"
+        " construction seeds before it is not counted",
+    )
     p.set_defaults(func=_cmd_vex)
 
     p = sub.add_parser("table", help="CSV sweep of bounds over a range of ground sizes")

@@ -1,25 +1,34 @@
-"""Pattern containment in the Kneser subgraph induced by a family.
+"""Pattern containment in the Kneser subgraph induced by a family, and the
+one embedding engine that graph and poset searches share.
 
 A family spans a subgraph of the Kneser cube; "contains G" means a not
 necessarily induced subgraph copy: an injection of V(G) into the family
 sending every pattern edge to a disjoint pair.  Isolated pattern vertices
-still consume distinct host vertices.
+still consume distinct host vertices.  A weak copy of a poset (posets.py) is
+the same kind of object: an injection sending every pattern relation to the
+same relation among host sets, proper inclusion instead of disjointness.
 
-The search backtracks over pattern vertices in decreasing-degree order
-(ties by label) and tries host candidates in canonical family order, so the
-first witness found is deterministic.  Candidate sets are bitmasks over
-family indices; forward checking abandons a branch as soon as some
-unassigned pattern vertex has no remaining candidates.  The vertex order,
-and for each vertex its neighbours placed later, are fixed per pattern and
-computed once (_GraphPlan).
+_embed searches for such an injection, given the pattern's relation rows
+and the host's: (adjacency,) for graphs, (above, below) for posets.  It
+backtracks over pattern vertices in a fixed order (decreasing degree for
+graphs, ties by label; the linear extension for posets) and tries host
+candidates in canonical family order, so the first copy found is
+deterministic.  Candidate sets are bitmasks over family indices; forward
+checking abandons a branch as soon as some unplaced vertex has no candidate
+left.  Each placement narrows by relations[0] alone, so the order must place
+every vertex related to v in another relation before v: for posets, every
+later related element lies above.  _Plan checks that rule and computes the
+order, the later related vertices per position and the automorphism orbits
+once per pattern.
 
-The incremental checker decides a push by pinning the pushed set to one
+The incremental checkers decide a push by pinning the pushed set to one
 vertex of each automorphism orbit of the pattern, not to every vertex: a new
 copy must use the pushed set, and composing it with an automorphism moves the
-pinned vertex anywhere in its orbit.  The orbits are found by the embedder
-itself, so the symmetry is checked, never assumed.  The plain search uses the
-same argument: a host that fails for the first vertex leaves the domains of
-that vertex's whole orbit.
+pinned vertex anywhere in its orbit.  A pinned vertex goes to the front of
+the order and narrows by every relation once.  The orbits are found by the
+engine itself, so the symmetry is checked, never assumed.  The plain search
+uses the same argument: a host that fails for the first vertex leaves the
+domains of that vertex's whole orbit.
 """
 
 from __future__ import annotations
@@ -106,42 +115,71 @@ def check_witness(host: InducedKneser, pattern: PatternGraph, witness: GraphWitn
     return all(host.is_edge(mapping[u], mapping[v]) for u, v in pattern.edges)
 
 
-def _graph_route(order, adjacency) -> tuple[tuple[int, ...], tuple]:
-    """order, plus (v, neighbours of v placed after it) per position.
+def _route(relations, order) -> tuple:
+    """(v, need, later) per position of order: later lists the vertices
+    placed after v in v's row of relations[0], and need is that row's size.
 
-    Vertices are placed strictly in order, so the neighbours still to be
-    placed at each position are known before the search starts.
+    The search checks relations[0] alone, from the earlier vertex of each
+    related pair, so v's rows in the other relations may only hold vertices
+    placed before v.  An order that breaks this rule raises ValueError.
     """
-    steps = tuple(
-        (v, tuple(u for u in order[pos + 1:] if adjacency[v] >> u & 1))
-        for pos, v in enumerate(order)
-    )
-    return tuple(order), steps
+    first, *others = relations
+    steps = []
+    for pos, v in enumerate(order):
+        after = order[pos + 1:]
+        if any(rel[v] >> u & 1 for rel in others for u in after):
+            raise ValueError(f"vertex {v} is related to a later vertex outside relations[0]")
+        steps.append((v, first[v].bit_count(), tuple(u for u in after if first[v] >> u & 1)))
+    return tuple(steps)
 
 
-class _GraphPlan:
+class _Plan:
     """Per-pattern search routes and symmetry, computed once per pattern.
 
-    route follows decreasing degree (ties by label); forced_routes[p] is the
-    same order with p moved to the front, for searches that pin p.  orbits
-    are the automorphism orbits; first_orbit is the one holding route's
-    first vertex.
+    relations[r][v] is the bitmask of the pattern vertices that v relates
+    to in relation r; a copy sends them into the host row of v's image in
+    relation r.  Graphs have (adjacency,), posets (above, below).
+
+    route is (order, steps) with steps from _route.  forced_routes[p] is the
+    same with p moved to the front, for searches that pin p: every vertex
+    related to p then comes later, so the first step holds (r, need,
+    related) for each relation r.  orbits are the automorphism orbits, by
+    smallest label; first_orbit is the one holding route's first vertex.
     """
 
-    def __init__(self, pattern: PatternGraph):
-        degrees = pattern.degrees
-        pv = pattern.vertex_count
-        order = sorted(range(pv), key=lambda v: (-degrees[v], v))
-        self.pattern = pattern
-        self.route = _graph_route(order, pattern.adjacency)
-        self.forced_routes = tuple(
-            _graph_route([p] + [v for v in order if v != p], pattern.adjacency)
-            for p in range(pv)
-        )
-        self.orbits = automorphism_orbits(
-            pv, lambda forced: _embed(self, pv, pattern.adjacency.__getitem__, forced=forced)
-        )
+    def __init__(self, relations, order):
+        size = len(relations[0])
+        order = tuple(order)
+        self.size = size
+        self.route = (order, _route(relations, order))
+        forced_routes = []
+        for p in range(size):
+            rest = tuple(v for v in order if v != p)
+            pinned = tuple(
+                (r, rel[p].bit_count(), tuple(u for u in rest if rel[p] >> u & 1))
+                for r, rel in enumerate(relations)
+            )
+            forced_routes.append(((p, *rest), (pinned, *_route(relations, rest))))
+        self.forced_routes = tuple(forced_routes)
+        # An injective structure-preserving map of a finite pattern into
+        # itself is an automorphism, so p and q share an orbit iff the
+        # pattern embeds in itself with p pinned to q: every orbit is
+        # witnessed by an automorphism actually found, never assumed.
+        own_rows = tuple(rel.__getitem__ for rel in relations)
+        orbits = []
+        for p in range(size):
+            if not any(p in orbit for orbit in orbits):
+                mates = (q for q in range(p + 1, size) if _embed(self, size, own_rows, (p, q)))
+                orbits.append((p, *mates))
+        self.orbits = tuple(orbits)
         self.first_orbit = next(orbit for orbit in self.orbits if order[0] in orbit)
+
+
+def _graph_plan(pattern: PatternGraph) -> _Plan:
+    """Adjacency plan in decreasing-degree order, ties by label."""
+    degrees = pattern.degrees
+    order = sorted(range(pattern.vertex_count), key=lambda v: (-degrees[v], v))
+    return _Plan((pattern.adjacency,), order)
 
 
 def _narrow(domains: list[int], related, row: int) -> bool:
@@ -153,48 +191,47 @@ def _narrow(domains: list[int], related, row: int) -> bool:
     return True
 
 
-def _embed(plan: _GraphPlan, host_size: int, nbr, forced=None):
-    """Injective edge-preserving map of the pattern into an abstract host.
+def _embed(plan: _Plan, host_size: int, rows, forced=None):
+    """Injective relation-preserving map of the pattern into an abstract host.
 
-    nbr(i) is the bitset of host indices adjacent to host index i.  With
-    forced=(p, h) the pattern vertex p is pinned to host index h.  Unforced,
-    a host that fails for the first vertex leaves the domains of that
-    vertex's whole automorphism orbit.  Returns the assignment dict or None.
+    rows[r](i) is the bitset of host indices that host index i relates to in
+    relation r of the plan.  With forced=(p, h) the pattern vertex p is
+    pinned to host index h.  Unforced, a host that fails for the first
+    vertex leaves the domains of that vertex's whole automorphism orbit.
+    Returns the assignment dict or None.
     """
-    pattern = plan.pattern
-    pv = pattern.vertex_count
-    if pv > host_size:
+    size = plan.size
+    if size > host_size:
         return None
-    pat_deg = pattern.degrees
-    domains = [(1 << host_size) - 1] * pv
-    image = [0] * pv
+    domains = [(1 << host_size) - 1] * size
+    image = [0] * size
     start = used = 0
 
     if forced is None:
         order, steps = plan.route
     else:
         p, h = forced
-        row = nbr(h)
-        if row.bit_count() < pat_deg[p]:
-            return None
         order, steps = plan.forced_routes[p]
+        for r, need, related in steps[0]:
+            row = rows[r](h)
+            if row.bit_count() < need or not _narrow(domains, related, row):
+                return None
         image[0] = h
         used = 1 << h
-        if not _narrow(domains, steps[0][1], row):
-            return None
         start = 1
+    first = rows[0]
 
     def place(pos: int, domains: list[int], used: int) -> bool:
-        if pos == pv:
+        if pos == size:
             return True
-        v, later = steps[pos]
-        need = pat_deg[v]
+        v, need, later = steps[pos]
         cands = domains[v] & ~used
         while cands:
             low = cands & -cands
             cands ^= low
             h = low.bit_length() - 1
-            row = nbr(h)
+            row = first(h)
+            # the images of v's related vertices are distinct members of row
             if row.bit_count() < need:
                 continue
             new_domains = domains
@@ -219,7 +256,7 @@ def _embed(plan: _GraphPlan, host_size: int, nbr, forced=None):
 
 def contains_subgraph(host: InducedKneser, pattern: PatternGraph) -> GraphWitness | None:
     """Exhaustive search for a subgraph copy of the pattern; None if absent."""
-    mapping = _embed(_GraphPlan(pattern), len(host), host.neighbor_mask)
+    mapping = _embed(_graph_plan(pattern), len(host), (host.neighbor_mask,))
     return GraphWitness(mapping) if mapping is not None else None
 
 
@@ -228,53 +265,27 @@ def is_free(fam: Family, pattern: PatternGraph) -> bool:
     return contains_subgraph(induced_kneser(fam), pattern) is None
 
 
-def automorphism_orbits(size: int, embeds) -> tuple[tuple[int, ...], ...]:
-    """Automorphism orbits of a pattern on 0..size-1, by smallest label.
+class _CheckerBase:
+    """Stack of distinct sets, with freeness from forbidden patterns tracked
+    across push/pop.  Freeness is monotone under push, so only the depth of
+    the first violation needs to be remembered.
 
-    embeds(forced) runs the pattern's own embedder with the pattern itself as
-    host and forced=(p, q).  An injective structure-preserving map of a
-    finite pattern into itself is an automorphism, so p and q share an orbit
-    iff that search succeeds: every orbit is witnessed by an automorphism
-    actually found, never assumed.
-    """
-    orbits = []
-    merged = 0
-    for p in range(size):
-        if merged >> p & 1:
-            continue
-        orbit = [p]
-        for q in range(p + 1, size):
-            if not merged >> q & 1 and embeds((p, q)) is not None:
-                merged |= 1 << q
-                orbit.append(q)
-        orbits.append(tuple(orbit))
-    return tuple(orbits)
-
-
-class IncrementalChecker:
-    """Stack of vertices with pattern-freeness tracked across push/pop.
-
-    Pushed masks must be distinct (the search engines guarantee this).
-    Freeness is monotone under push, so only the depth of the first
-    violation needs to be remembered.
-
-    A push pins the pushed set to each vertex of orbit_reps, the smallest
-    label of every automorphism orbit (see the module docstring for why
-    that decides the push), highest degree first.
+    searches holds (plan, pinned vertices) per forbidden pattern; a push
+    pins the new set to each of them in turn (the module docstring says why
+    one vertex per automorphism orbit decides it).  rows holds one host row
+    list per relation.  A subclass's _link(mask, bit) appends the new set's
+    row to each list and sets bit in the rows that row points to; the
+    unlink pairs (own rows, converse rows) let pop clear that bit again.
     """
 
-    def __init__(self, pattern: PatternGraph, n: int):
+    def __init__(self, n: int, searches, rows, unlink):
         validate_ground(n)
-        self.pattern = pattern
         self.n = n
-        self._plan = _GraphPlan(pattern)
-        # highest degree first: with that order a relabelled K2,3 takes the
-        # same time under every labelling, not up to 3x more
-        self.orbit_reps = tuple(
-            sorted((orbit[0] for orbit in self._plan.orbits), key=lambda p: -pattern.degrees[p])
-        )
+        self._searches = searches
+        self._rows = rows
+        self._row_getters = tuple(r.__getitem__ for r in rows)
+        self._unlink = unlink
         self._masks: list[int] = []
-        self._rows: list[int] = []
         self._violated_at: int | None = None
 
     def __len__(self) -> int:
@@ -283,15 +294,8 @@ class IncrementalChecker:
     def push(self, mask: int) -> None:
         validate_mask(mask, self.n)
         idx = len(self._masks)
-        rows = self._rows
-        bit = 1 << idx
-        row = 0
-        for j, other in enumerate(self._masks):
-            if mask & other == 0 and mask != other:
-                row |= 1 << j
-                rows[j] |= bit
+        self._link(mask, 1 << idx)
         self._masks.append(mask)
-        rows.append(row)
         if self._violated_at is None and self._completes_copy(idx):
             self._violated_at = len(self._masks)
 
@@ -300,13 +304,12 @@ class IncrementalChecker:
             raise IndexError("pop from empty checker")
         mask = self._masks.pop()
         bit = 1 << len(self._masks)
-        # push set the popped bit exactly in the rows of the popped set's neighbours
-        rows = self._rows
-        marked = rows.pop()
-        while marked:
-            low = marked & -marked
-            marked ^= low
-            rows[low.bit_length() - 1] ^= bit
+        for own, converse in self._unlink:
+            marked = own.pop()
+            while marked:
+                low = marked & -marked
+                marked ^= low
+                converse[low.bit_length() - 1] ^= bit
         if self._violated_at is not None and self._violated_at > len(self._masks):
             self._violated_at = None
         return mask
@@ -318,15 +321,44 @@ class IncrementalChecker:
         return Family.of(self.n, self._masks)
 
     def _completes_copy(self, new_index: int) -> bool:
-        # any new copy must use the vertex just pushed
-        size = len(self._masks)
-        if self.pattern.vertex_count > size:
-            return False
-        nbr = self._rows.__getitem__
-        for p in self.orbit_reps:
-            if _embed(self._plan, size, nbr, forced=(p, new_index)) is not None:
-                return True
+        # any new copy must use the set just pushed
+        count = len(self._masks)
+        rows = self._row_getters
+        for plan, pinned in self._searches:
+            if plan.size > count:
+                continue
+            for p in pinned:
+                if _embed(plan, count, rows, (p, new_index)) is not None:
+                    return True
         return False
+
+
+class IncrementalChecker(_CheckerBase):
+    """Pattern-freeness of a stack of sets; see _CheckerBase.
+
+    orbit_reps, the vertices a push pins, holds the smallest label of every
+    automorphism orbit, highest degree first.
+    """
+
+    def __init__(self, pattern: PatternGraph, n: int):
+        self.pattern = pattern
+        plan = _graph_plan(pattern)
+        # highest degree first: with that order a relabelled K2,3 takes the
+        # same time under every labelling, not up to 3x more
+        self.orbit_reps = tuple(
+            sorted((orbit[0] for orbit in plan.orbits), key=lambda p: -pattern.degrees[p])
+        )
+        adjacent: list[int] = []
+        super().__init__(n, ((plan, self.orbit_reps),), (adjacent,), ((adjacent, adjacent),))
+
+    def _link(self, mask: int, bit: int) -> None:
+        (rows,) = self._rows
+        row = 0
+        for j, other in enumerate(self._masks):
+            if mask & other == 0 and mask != other:
+                row |= 1 << j
+                rows[j] |= bit
+        rows.append(row)
 
 
 def incremental_checker(pattern: PatternGraph, n: int) -> IncrementalChecker:

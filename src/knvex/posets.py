@@ -6,7 +6,10 @@ obstruct pattern copies in the Kneser cube.  This module owns
 
   * the Poset type (strict order on <= 16 labeled elements, bitmask rows),
   * weak-copy detection in families (order-preserving injections; an
-    injection makes every required inclusion proper automatically),
+    injection makes every required inclusion proper automatically), through
+    the embedding engine of freeness.py with the containment rows (up,
+    down) and a linear extension as the order, so only "above" is checked
+    along it,
   * La(n, *) exact maximization at desk scale via the shared search engine,
   * bounded certification of e(P), the number of consecutive Boolean-cube
     levels that stay P-free,
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freeness import GraphWitness, _narrow, automorphism_orbits, induced_kneser
+from .freeness import GraphWitness, _CheckerBase, _embed, _Plan, induced_kneser
 from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
 from .sets import (
     Family,
@@ -305,139 +308,40 @@ def _containment_rows(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def _poset_route(poset: Poset, order) -> tuple[tuple[int, ...], tuple]:
-    """order, plus (e, later elements above e, later elements below e) per position.
-
-    Elements are placed strictly in order, so the relations still to be
-    checked at each position are known before the search starts.
-    """
-    steps = []
-    for pos, e in enumerate(order):
-        later = order[pos + 1:]
-        steps.append((
-            e,
-            tuple(u for u in later if poset.above[e] >> u & 1),
-            tuple(u for u in later if poset.below[e] >> u & 1),
-        ))
-    return tuple(order), tuple(steps)
-
-
-class _PosetPlan:
-    """Per-poset search routes and symmetry, computed once per poset.
-
-    route follows the linear extension; forced_routes[e] is the same order
-    with e moved to the front, for searches that pin e.  orbits are the
-    automorphism orbits; first_orbit is the one holding route's first element.
-    """
-
-    def __init__(self, poset: Poset):
-        order = list(poset.linear_extension)
-        self.poset = poset
-        self.route = _poset_route(poset, order)
-        self.forced_routes = tuple(
-            _poset_route(poset, [e] + [v for v in order if v != e]) for e in range(poset.size)
-        )
-        self.orbits = automorphism_orbits(
-            poset.size,
-            lambda forced: _embed_poset(self, poset.size, poset.above, poset.below, forced=forced),
-        )
-        self.first_orbit = next(orbit for orbit in self.orbits if order[0] in orbit)
-
-
-def _embed_poset(plan: _PosetPlan, count: int, up, down, forced=None):
-    """Backtracking in linear-extension order with forward checking.
-
-    up[h] and down[h] are the bitsets of host indices strictly above and
-    below host h.  With forced=(e, h) the element e is pinned to host h.
-    Unforced, a host that fails for the first element leaves the domains of
-    that element's whole automorphism orbit.
-    """
-    size = plan.poset.size
-    if size > count:
-        return None
-    domains = [(1 << count) - 1] * size
-    image = [0] * size
-    start = used = 0
-
-    if forced is None:
-        order, steps = plan.route
-    else:
-        e, h = forced
-        order, steps = plan.forced_routes[e]
-        image[0] = h
-        used = 1 << h
-        _, ups, downs = steps[0]
-        if not (_narrow(domains, ups, up[h]) and _narrow(domains, downs, down[h])):
-            return None
-        start = 1
-
-    def place(pos: int, domains: list[int], used: int) -> bool:
-        if pos == size:
-            return True
-        e, ups, downs = steps[pos]
-        cands = domains[e] & ~used
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            h = low.bit_length() - 1
-            new_domains = domains
-            if ups or downs:
-                new_domains = list(domains)
-                if not (_narrow(new_domains, ups, up[h]) and _narrow(new_domains, downs, down[h])):
-                    continue
-            image[pos] = h
-            if place(pos + 1, new_domains, used | low):
-                return True
-            if pos == 0:
-                # no copy at all puts h on the first element, so by symmetry
-                # none puts it on any element of that element's orbit
-                for u in plan.first_orbit:
-                    domains[u] &= ~low
-        return False
-
-    if place(start, domains, used):
-        return dict(zip(order, image))
-    return None
+def _poset_plan(poset: Poset) -> _Plan:
+    """Above/below plan along the linear extension: every later related element lies above."""
+    return _Plan((poset.above, poset.below), poset.linear_extension)
 
 
 def contains_poset_copy(fam: Family, poset: Poset) -> PosetCopy | None:
     """Search for a weak copy of the poset inside the family; None if absent."""
     members = fam.members
     up, down = _containment_rows(members)
-    assign = _embed_poset(_PosetPlan(poset), len(members), up, down)
+    assign = _embed(_poset_plan(poset), len(members), (up.__getitem__, down.__getitem__))
     if assign is None:
         return None
     return PosetCopy({e: members[i] for e, i in assign.items()})
 
 
-class IncrementalPosetChecker:
-    """push/pop stack tracking freeness from every poset in a forbidden list.
+class IncrementalPosetChecker(_CheckerBase):
+    """Freeness from every poset in a forbidden list, for a stack of sets;
+    see _CheckerBase.
 
-    A copy that is new after a push must use the pushed set h, at some
-    element q.  Composing that copy with an automorphism of the poset
-    sending p to q gives a copy with p at h, so pinning one element p per
-    Aut orbit (orbit_reps[i] for forbidden[i], found by the embedder itself)
-    decides the push.
+    orbit_reps[i], the elements a push pins for forbidden[i], holds the
+    smallest label of every automorphism orbit of that poset.
     """
 
     def __init__(self, forbidden: list[Poset], n: int):
-        validate_ground(n)
         self.forbidden = list(forbidden)
-        self.n = n
-        self._plans = [_PosetPlan(poset) for poset in self.forbidden]
-        self.orbit_reps = tuple(tuple(orbit[0] for orbit in plan.orbits) for plan in self._plans)
-        self._masks: list[int] = []
-        self._up: list[int] = []
-        self._down: list[int] = []
-        self._violated_at: int | None = None
+        plans = [_poset_plan(poset) for poset in self.forbidden]
+        self.orbit_reps = tuple(tuple(orbit[0] for orbit in plan.orbits) for plan in plans)
+        up: list[int] = []
+        down: list[int] = []
+        searches = tuple(zip(plans, self.orbit_reps))
+        super().__init__(n, searches, (up, down), ((down, up), (up, down)))
 
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def push(self, mask: int) -> None:
-        idx = len(self._masks)
-        up, down = self._up, self._down
-        bit = 1 << idx
+    def _link(self, mask: int, bit: int) -> None:
+        up, down = self._rows
         up_row = down_row = 0
         for j, other in enumerate(self._masks):
             if other == mask:
@@ -449,29 +353,8 @@ class IncrementalPosetChecker:
             elif common == mask:
                 up_row |= 1 << j
                 down[j] |= bit
-        self._masks.append(mask)
         up.append(up_row)
         down.append(down_row)
-        if self._violated_at is None and self._completes_copy(idx):
-            self._violated_at = len(self._masks)
-
-    def pop(self) -> int:
-        if not self._masks:
-            raise IndexError("pop from empty checker")
-        mask = self._masks.pop()
-        bit = 1 << len(self._masks)
-        # push set the popped bit exactly in the rows its own rows point to
-        for rows, marked in ((self._up, self._down.pop()), (self._down, self._up.pop())):
-            while marked:
-                low = marked & -marked
-                marked ^= low
-                rows[low.bit_length() - 1] ^= bit
-        if self._violated_at is not None and self._violated_at > len(self._masks):
-            self._violated_at = None
-        return mask
-
-    def currently_free(self) -> bool:
-        return self._violated_at is None
 
     @property
     def chain_cap(self) -> int | None:
@@ -486,18 +369,6 @@ class IncrementalPosetChecker:
         if not self.forbidden:
             return None
         return min(poset.size for poset in self.forbidden) - 1
-
-    def _completes_copy(self, new_index: int) -> bool:
-        # any new copy must use the set just pushed
-        count = len(self._masks)
-        up, down = self._up, self._down
-        for plan, reps in zip(self._plans, self.orbit_reps):
-            if plan.poset.size > count:
-                continue
-            for e in reps:
-                if _embed_poset(plan, count, up, down, forced=(e, new_index)) is not None:
-                    return True
-        return False
 
 
 @dataclass(frozen=True)
@@ -543,6 +414,8 @@ def la(
     validate_ground(n)
     if n > 5:
         raise ValueError("exact La computation is limited to n <= 5")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"node budget must be >= 0, got {max_nodes}")
     from .search import max_family_avoiding  # deferred: search imports this module
 
     ground = level_slice(n, 0, n)

@@ -263,9 +263,16 @@ def vex_exact(
     Edgeless patterns and matchings resolve structurally at any ground size.
     Otherwise branch and bound handles n <= 5; larger n requires an explicit
     budget and may come back non-exact (the value then certifies a lower
-    bound).  nodes counts the branch-and-bound nodes visited.
+    bound).  nodes counts the branch-and-bound nodes visited.  The timeout
+    bounds the branch-and-bound search only: the construction seeds are
+    certified before it without looking at the clock, which takes seconds
+    at n >= 12, so a run can last longer than its timeout.
     """
     validate_ground(n)
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"node budget must be >= 0, got {max_nodes}")
+    if timeout is not None and not timeout >= 0:  # also rejects NaN
+        raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
     shortcut = _structural_value(n, pattern)
     if shortcut is not None:
         value, witness, lower_source, upper_source = shortcut

@@ -44,6 +44,12 @@ class TestExitCodes:
             ("la", "--n", "6", "--poset", "V"),
             ("la", "--n", "3", "--poset", "nonsense"),
             ("cyclecheck", "--n", "4", "--family", "no/such/family.txt"),
+            ("vex", "--n", "4", "--pattern", "C5", "--budget", "-1"),
+            ("vex", "--n", "4", "--pattern", "C5", "--timeout", "-1"),
+            ("vex", "--n", "4", "--pattern", "C5", "--timeout", "nan"),
+            ("la", "--n", "4", "--poset", "V", "--budget", "-3"),
+            ("table", "--pattern", "C5", "--n", "5..3"),
+            ("table", "--pattern", "C5", "--n", "0..3"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, argv):

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from knvex.constructions import star_family
-from knvex.freeness import check_witness, induced_kneser
+from knvex.freeness import _Plan, check_witness, induced_kneser
 from knvex.patterns import Bipartition, bipartition, make_pattern
 from knvex.posets import (
     CollisionError,
@@ -182,13 +182,33 @@ class TestContainsPosetCopy:
                 assert contains_poset_copy(fam, butterfly()) is None
 
     def test_agrees_with_oracle_on_random_families(self):
+        # random relabelled posets too, so the search runs along linear
+        # extensions that are not label order
+        shapes = random.Random(29)
+        posets = list(NAMED_POSETS.values())
+        for _ in range(12):
+            size = shapes.randint(2, 4)
+            pairs = [
+                (p, q) for p in range(size) for q in range(p + 1, size) if shapes.random() < 0.5
+            ]
+            perm = shapes.sample(range(size), size)
+            posets.append(Poset.from_relations(size, [(perm[p], perm[q]) for p, q in pairs]))
+        assert any(p.linear_extension != tuple(range(p.size)) for p in posets[len(NAMED_POSETS):])
         rng = random.Random(17)
         for _ in range(40):
             masks = [m for m in range(16) if rng.random() < 0.4]
             fam = Family.of(4, masks)
-            for poset in NAMED_POSETS.values():
+            for poset in posets:
                 got = contains_poset_copy(fam, poset)
                 assert (got is not None) == poset_copy_exists(masks, poset)
+
+    def test_plan_rejects_an_order_with_a_later_element_below(self):
+        # the search checks only "above" along the route, so an element placed
+        # after one it lies below would go unchecked
+        v = v_poset()
+        _Plan((v.above, v.below), v.linear_extension)
+        with pytest.raises(ValueError):
+            _Plan((v.above, v.below), (1, 0, 2))
 
     def test_failed_first_element_stays_usable_outside_its_orbit(self):
         # {2,3} fails as the isolated element 0 and must still serve as 1 < 2;
@@ -260,6 +280,13 @@ class TestIncrementalPosetChecker:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             IncrementalPosetChecker([v_poset()], 2).pop()
+
+    def test_push_rejects_masks_outside_the_ground(self):
+        chk = IncrementalPosetChecker([v_poset()], 3)
+        for mask in (1 << 5, 1 << 3, -1):
+            with pytest.raises(ValueError):
+                chk.push(mask)
+        assert len(chk) == 0 and chk.currently_free()
 
     @pytest.mark.parametrize(
         "name", ["chain2", "chain3", "antichain4", "V", "Lambda", "butterfly", "crown6", "K2,1,3"]
