@@ -18,7 +18,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .constructions import CONSTRUCTION_NAMES, build_construction, verify_construction
+from .constructions import CONSTRUCTION_PARAMETERS, build_construction, verify_construction
 from .cycle import double_count_check
 from .patterns import PatternGraph, parse_pattern, pattern_from_text
 from .posets import Poset, e_of_poset, la, named_poset, poset_from_text
@@ -143,13 +143,7 @@ def _cmd_eposet(args) -> tuple[RunReport, int]:
 
 
 def _cmd_verify(args) -> tuple[RunReport, int]:
-    params = {}
-    if args.k is not None:
-        params["k"] = args.k
-    if args.r is not None:
-        params["r"] = args.r
-    if args.x is not None:
-        params["x"] = args.x
+    params = {key: getattr(args, key) for key in ("k", "r", "x") if getattr(args, key) is not None}
     nc = build_construction(args.construction, args.n, **params)
     verdict = verify_construction(nc)
     report = RunReport(
@@ -194,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="wall-clock budget in seconds for the branch-and-bound search; certifying the"
-        " construction seeds before it is not counted",
+        " construction seed before it is not counted",
     )
     p.set_defaults(func=_cmd_vex)
 
@@ -216,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eposet)
 
     p = sub.add_parser("verify", help="size formula and freeness check for a named construction")
-    p.add_argument("--construction", choices=CONSTRUCTION_NAMES, required=True)
+    p.add_argument("--construction", choices=CONSTRUCTION_PARAMETERS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--r", type=int, default=None)

@@ -15,14 +15,15 @@ from . import freeness
 from .patterns import parse_pattern
 from .sets import Family, binom_tail, complement, level_slice, upset, validate_ground
 
-CONSTRUCTION_NAMES = (
-    "star",
-    "matching_extremal",
-    "bip_lower",
-    "threshold",
-    "clique_threshold",
-    "e2_two_level",
-)
+# each construction's parameters; the star's x defaults to 1
+CONSTRUCTION_PARAMETERS = {
+    "star": ("x",),
+    "matching_extremal": ("k",),
+    "bip_lower": (),
+    "threshold": ("k",),
+    "clique_threshold": ("r",),
+    "e2_two_level": (),
+}
 
 
 @dataclass(frozen=True)
@@ -162,18 +163,26 @@ def _claimed_size(name: str, n: int, params: dict[str, int]) -> int:
         return (1 << n) - binom_tail(n, k * n // (2 * k + 1), "le")
     if name == "clique_threshold":
         return (1 << n) - binom_tail(n, n // (params["r"] + 1), "le")
-    if name == "e2_two_level":
-        if n % 2:
-            return (1 << (n - 1)) + comb(n, n // 2)
-        # sets through 1 of size >= n/2-1, plus sets whose part beyond 1 has size >= n/2
-        return binom_tail(n - 1, n // 2 - 2, "ge") + binom_tail(n - 1, n // 2, "ge")
-    raise ValueError(f"unknown construction {name!r}")
+    # e2_two_level; build_construction has checked the name
+    if n % 2:
+        return (1 << (n - 1)) + comb(n, n // 2)
+    # sets through 1 of size >= n/2-1, plus sets whose part beyond 1 has size >= n/2
+    return binom_tail(n - 1, n // 2 - 2, "ge") + binom_tail(n - 1, n // 2, "ge")
 
 
 def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
-    """Instantiate a named family together with its size formula and freeness claim."""
+    """Instantiate a named family together with its size formula and freeness claim.
+
+    An unknown name, or a missing or unexpected parameter, raises ValueError.
+    """
+    if name not in CONSTRUCTION_PARAMETERS:
+        raise ValueError(f"unknown construction {name!r}")
     if name == "star":
         params.setdefault("x", 1)
+    for key in sorted(set(params) ^ set(CONSTRUCTION_PARAMETERS[name])):
+        problem = "takes no" if key in params else "needs the"
+        raise ValueError(f"construction {name!r} {problem} parameter {key!r}")
+    if name == "star":
         fam = star_family(n, params["x"])
         claim = "K2"
     elif name == "matching_extremal":
@@ -188,11 +197,9 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
     elif name == "clique_threshold":
         fam = clique_threshold_family(n, params["r"])
         claim = f"K{params['r'] + 1}"
-    elif name == "e2_two_level":
+    else:
         fam = e2_two_level(n)
         claim = "C4"
-    else:
-        raise ValueError(f"unknown construction {name!r}")
     size = _claimed_size(name, n, params)
     return NamedConstruction(name, dict(params), fam, size, claim)
 

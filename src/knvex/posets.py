@@ -408,7 +408,8 @@ def la(
     The search is bounded by the chain capacity: a family free of every
     forbidden poset meets each chain in at most chain_cap sets, so each of
     the n cyclic relabellings of the symmetric chain decomposition bounds
-    it.  Free middle-level windows seed the incumbent.  nodes counts the
+    it.  The first free middle-level window (widest first; complement-closed
+    ones only, in symmetric mode) seeds the incumbent.  nodes counts the
     branch-and-bound nodes visited.
     """
     validate_ground(n)
@@ -419,13 +420,14 @@ def la(
     from .search import max_family_avoiding  # deferred: search imports this module
 
     ground = level_slice(n, 0, n)
-    seeds = []
-    for width in (1, 2):
-        lo = (n - width + 1) // 2
-        if lo + width - 1 <= n:
-            window = level_slice(n, lo, lo + width - 1)
-            if all(contains_poset_copy(window, poset) is None for poset in forbidden):
-                seeds.append(window)
+    seed = None
+    for width in (2, 1):  # widest first: the width-2 window holds the width-1 one
+        window = level_slice(n, (n - width + 1) // 2, (n + width - 1) // 2)
+        if symmetric and family_complement(window) != window:
+            continue
+        if all(contains_poset_copy(window, poset) is None for poset in forbidden):
+            seed = window
+            break
     checker = IncrementalPosetChecker(forbidden, n)
     cap = checker.chain_cap
     partitions = (cap, _rotated_chain_partitions(n)) if cap is not None else None
@@ -433,7 +435,7 @@ def la(
         ground,
         checker,
         symmetric=symmetric,
-        seeds=seeds,
+        seed=seed,
         max_nodes=max_nodes,
         partitions=partitions,
     )

@@ -11,8 +11,8 @@ Each partition p then gives the bound limit_p = current + the sum over its
 groups g of min(undecided_g, cap - chosen_g).  Including a set leaves
 limit_p unchanged; excluding one lowers it by one exactly when its group's
 undecided count is at most cap - chosen_g.  La passes symmetric chain
-decompositions with cap |P| - 1 (Lubell's chain argument).  Certified
-construction seeds make the known lower bounds live pruning devices.
+decompositions with cap |P| - 1 (Lubell's chain argument).  One seed, the
+largest family the caller certified free, is the first incumbent.
 
 For matchings the complement-pair argument closes the search outright: a
 family doubling k+1 complement pairs spans k+1 disjoint edges, so at most
@@ -24,11 +24,12 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import constructions, freeness, posets
 from .cycle import cycle_upper_bound
 from .patterns import PatternGraph, bipartition, is_matching, odd_girth
-from .sets import Family, complement, level_slice, validate_ground
+from .sets import Family, complement, family_complement, level_slice, validate_ground
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def max_family_avoiding(
     checker,
     *,
     symmetric: bool = False,
-    seeds: tuple[Family, ...] | list[Family] = (),
+    seed: Family | None = None,
     max_nodes: int | None = None,
     deadline: float | None = None,
     partitions: tuple[int, Sequence[Sequence[object]]] | None = None,
@@ -64,10 +65,9 @@ def max_family_avoiding(
 
     The oracle must be monotone: pushing more sets never clears a violation.
     In symmetric mode complement pairs are branched jointly (both or
-    neither), so the result is complement-closed.  Seeds are families the
-    caller has already certified free; the largest one that lies in the
-    ground (and is complement-closed, in symmetric mode) becomes the first
-    incumbent without being pushed.
+    neither), so the result is complement-closed.  A seed is a family the
+    caller has certified free: the first incumbent, never pushed.  It must
+    lie in the ground, complement-closed in symmetric mode (else ValueError).
 
     partitions is None or a pair (cap, maps): each map sends every ground
     set (indexed by mask) to a group, and no feasible family holds more
@@ -99,13 +99,11 @@ def max_family_avoiding(
 
     best = 0
     best_masks: list[int] = []
-    for seed in seeds:
-        if len(seed) <= best:
-            continue
-        if not seed.member_set <= ground.member_set:
-            continue
-        if symmetric and any(complement(m, n) not in seed.member_set for m in seed):
-            continue
+    if seed is not None:
+        if seed.n != n or not seed.member_set <= ground.member_set:
+            raise ValueError("the seed family is not inside the ground family")
+        if symmetric and family_complement(seed) != seed:
+            raise ValueError("symmetric mode needs a complement-closed seed family")
         best = len(seed)
         best_masks = list(seed.members)
 
@@ -203,32 +201,35 @@ def _partition_bounds(units, partitions):
     return unit_bounds, limits, [0] * len(slot_of)
 
 
-def _verified_lower_candidates(n: int, pattern: PatternGraph) -> list[tuple[Family, str]]:
-    """Construction-backed candidates, each certified pattern-free before use."""
+def _lower_bound(n: int, pattern: PatternGraph) -> tuple[Family, str]:
+    """The first construction certified pattern-free, largest first (a stable
+    sort, so ties keep the order built here), with its source."""
     candidates: list[tuple[Family, str]] = []
     if pattern.edge_count >= 1:
         candidates.append((constructions.star_family(n, 1), "construction:star"))
-    bip = bipartition(pattern)
-    if bip is not None:
+    if bipartition(pattern) is not None:
         if not is_matching(pattern) and n >= 2:
             candidates.append((constructions.bip_lower(n), "construction:bip_lower"))
-            cert = posets.e_of_poset(posets.poset_from_bipartite(pattern), 6)
-            if cert.value >= 2 and n >= 3:
+            if n >= 3 and _two_levels_free(pattern):
                 candidates.append((constructions.e2_two_level(n), "construction:e2_two_level"))
     else:
-        girth = odd_girth(pattern)
-        k = (girth - 1) // 2
+        k = (odd_girth(pattern) - 1) // 2
         candidates.append((constructions.threshold_family(n, k), "construction:threshold"))
         r = pattern.vertex_count - 1
         if r >= 2 and pattern.edge_count == r * (r + 1) // 2:
             candidates.append(
                 (constructions.clique_threshold_family(n, r), "construction:clique_threshold")
             )
-    verified = []
-    for fam, source in candidates:
+    for fam, source in sorted(candidates, key=lambda pair: len(pair[0]), reverse=True):
         if freeness.is_free(fam, pattern):
-            verified.append((fam, source))
-    return verified
+            return fam, source
+    raise AssertionError("no verified lower-bound construction; star should always apply")
+
+
+@lru_cache(maxsize=None)
+def _two_levels_free(pattern: PatternGraph) -> bool:
+    """Whether e(P) >= 2, certified up to n = 6, for P = poset_from_bipartite(pattern)."""
+    return posets.e_of_poset(posets.poset_from_bipartite(pattern), 6).value >= 2
 
 
 def _structural_value(n: int, pattern: PatternGraph) -> tuple[int, Family, str, str] | None:
@@ -264,7 +265,7 @@ def vex_exact(
     Otherwise branch and bound handles n <= 5; larger n requires an explicit
     budget and may come back non-exact (the value then certifies a lower
     bound).  nodes counts the branch-and-bound nodes visited.  The timeout
-    bounds the branch-and-bound search only: the construction seeds are
+    bounds the branch-and-bound search only: the construction seed is
     certified before it without looking at the clock, which takes seconds
     at n >= 12, so a run can last longer than its timeout.
     """
@@ -281,18 +282,17 @@ def vex_exact(
     if n > 5 and max_nodes is None and timeout is None:
         raise ValueError("n > 5 needs an explicit budget (max_nodes or timeout)")
     deadline = time.monotonic() + timeout if timeout is not None else None
-    seeds = _verified_lower_candidates(n, pattern)
+    seed, source = _lower_bound(n, pattern)
     checker = freeness.incremental_checker(pattern, n)
     value, witness, exact, nodes = max_family_avoiding(
         level_slice(n, 0, n),
         checker,
-        seeds=[fam for fam, _ in seeds],
+        seed=seed,
         max_nodes=max_nodes,
         deadline=deadline,
     )
-    # a seed witness was certified before the search; only a found one is re-checked
-    source = next((label for fam, label in seeds if witness == fam), None)
-    if source is None:
+    # the seed was certified before the search; only a found witness is re-checked
+    if witness != seed:
         if not freeness.is_free(witness, pattern):
             raise AssertionError("search produced a witness that fails re-verification")
         source = "search:branch-and-bound"
@@ -312,10 +312,7 @@ def vex_bounds(n: int, pattern: PatternGraph) -> VexBounds:
         value, witness, lower_source, upper_source = shortcut
         return VexBounds(value, witness, lower_source, value, upper_source)
 
-    candidates = _verified_lower_candidates(n, pattern)
-    if not candidates:
-        raise AssertionError("no verified lower-bound construction; star should always apply")
-    lower_fam, lower_source = max(candidates, key=lambda pair: len(pair[0]))
+    lower_fam, lower_source = _lower_bound(n, pattern)
 
     upper = upper_source = None
     girth = odd_girth(pattern)

@@ -50,6 +50,8 @@ class TestExitCodes:
             ("la", "--n", "4", "--poset", "V", "--budget", "-3"),
             ("table", "--pattern", "C5", "--n", "5..3"),
             ("table", "--pattern", "C5", "--n", "0..3"),
+            ("verify", "--construction", "threshold", "--n", "6"),
+            ("verify", "--construction", "star", "--n", "5", "--k", "3"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, argv):

@@ -168,3 +168,21 @@ class TestNamedConstructions:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_construction("pentagon", 4)
+
+    @pytest.mark.parametrize(
+        "name, params, named",
+        [
+            ("threshold", {}, "'k'"),
+            ("matching_extremal", {}, "'k'"),
+            ("clique_threshold", {}, "'r'"),
+            ("star", {"k": 3}, "'k'"),
+            ("bip_lower", {"x": 1}, "'x'"),
+            ("threshold", {"k": 1, "r": 2}, "'r'"),
+        ],
+    )
+    def test_parameter_errors_name_the_parameter(self, name, params, named):
+        with pytest.raises(ValueError, match=named):
+            build_construction(name, 6, **params)
+
+    def test_star_defaults_to_element_1(self):
+        assert build_construction("star", 5).params == {"x": 1}

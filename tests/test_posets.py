@@ -358,6 +358,18 @@ class TestLa:
         assert res.nodes == nodes
         assert all(contains_poset_copy(res.witness, poset) is None for poset in forbidden)
 
+    @pytest.mark.parametrize(
+        "forbidden, value, nodes", [([v_poset()], 6, 56), ([butterfly()], 10, 51)]
+    )
+    def test_frozen_symmetric_values_at_n4(self, forbidden, value, nodes):
+        # levels 1..2 are not complement-closed at n = 4, so only level 2 can seed
+        res = la(4, forbidden, symmetric=True)
+        assert res.exact
+        assert res.value == value
+        assert res.nodes == nodes
+        assert family_complement(res.witness) == res.witness
+        assert all(contains_poset_copy(res.witness, poset) is None for poset in forbidden)
+
     def test_chain_bound_keeps_answers_and_saves_nodes(self, monkeypatch):
         rng = random.Random(41)
         cases = []

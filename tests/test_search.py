@@ -3,9 +3,17 @@ from itertools import combinations
 import pytest
 
 from knvex import freeness
+from knvex.constructions import (
+    bip_lower,
+    clique_threshold_family,
+    e2_two_level,
+    star_family,
+    threshold_family,
+)
 from knvex.freeness import incremental_checker, is_free
-from knvex.patterns import PatternGraph, make_pattern, parse_pattern
-from knvex.search import max_family_avoiding, vex_bounds, vex_exact
+from knvex.patterns import PatternGraph, bipartition, make_pattern, odd_girth, parse_pattern
+from knvex.posets import e_of_poset, poset_from_bipartite
+from knvex.search import _lower_bound, max_family_avoiding, vex_bounds, vex_exact
 from knvex.sets import level_slice
 
 from oracles import max_family_size, subgraph_copy_exists
@@ -79,13 +87,14 @@ class TestSeedWork:
     def test_seed_witness_is_certified_once(self, is_free_calls):
         res = vex_exact(8, parse_pattern("C5"), max_nodes=10)
         assert res.lower_bound_source == "construction:threshold"
-        # star (128 sets) and threshold (163 sets), each certified once
-        assert is_free_calls == [128, 163]
+        # threshold (163 sets) is the largest candidate and passes; star is never certified
+        assert is_free_calls == [163]
 
     def test_found_witness_is_rechecked(self, is_free_calls):
         res = vex_exact(4, parse_pattern("C5"))
         assert res.lower_bound_source == "search:branch-and-bound"
-        assert is_free_calls == [8, 11, 12]
+        # the threshold seed (11 sets), then the found witness
+        assert is_free_calls == [11, 12]
 
     def test_seeds_are_not_pushed(self):
         class CountingChecker:
@@ -105,9 +114,50 @@ class TestSeedWork:
 
         checker = CountingChecker(incremental_checker(parse_pattern("C5"), 4))
         seed = level_slice(4, 2, 4)
-        result = max_family_avoiding(level_slice(4, 0, 4), checker, seeds=[seed], max_nodes=0)
+        result = max_family_avoiding(level_slice(4, 0, 4), checker, seed=seed, max_nodes=0)
         assert result == (11, seed, False, 0)
         assert checker.pushes == 0
+
+    def test_seed_outside_the_ground_is_rejected(self):
+        checker = incremental_checker(parse_pattern("C5"), 4)
+        with pytest.raises(ValueError):
+            max_family_avoiding(level_slice(4, 1, 4), checker, seed=level_slice(4, 0, 1))
+
+    def test_symmetric_seed_must_be_complement_closed(self):
+        checker = incremental_checker(parse_pattern("C5"), 4)
+        seed = level_slice(4, 1, 2)  # complements land in levels 2..3
+        with pytest.raises(ValueError):
+            max_family_avoiding(level_slice(4, 0, 4), checker, symmetric=True, seed=seed)
+
+
+def first_maximal_certified(n: int, pattern: PatternGraph) -> tuple:
+    """Certify every candidate construction and keep the first of maximal size."""
+    candidates = [(star_family(n, 1), "construction:star")]
+    if bipartition(pattern) is not None:
+        candidates.append((bip_lower(n), "construction:bip_lower"))
+        if n >= 3 and e_of_poset(poset_from_bipartite(pattern), 6).value >= 2:
+            candidates.append((e2_two_level(n), "construction:e2_two_level"))
+    else:
+        k = (odd_girth(pattern) - 1) // 2
+        candidates.append((threshold_family(n, k), "construction:threshold"))
+        r = pattern.vertex_count - 1
+        if r >= 2 and pattern.edge_count == r * (r + 1) // 2:
+            candidates.append((clique_threshold_family(n, r), "construction:clique_threshold"))
+    certified = [pair for pair in candidates if is_free(pair[0], pattern)]
+    return max(certified, key=lambda pair: len(pair[0]))
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("name", ["C5", "K3", "K4", "S3", "S4", "K2,3", "C4", "P4"])
+    def test_agrees_with_certifying_every_candidate(self, name):
+        pattern = pattern_of(name)
+        for n in range(2, 10):
+            assert _lower_bound(n, pattern) == first_maximal_certified(n, pattern)
+
+    def test_ties_keep_the_build_order(self):
+        # equal sizes: star before threshold for C5, threshold before clique_threshold for K4
+        assert _lower_bound(5, parse_pattern("C5"))[1] == "construction:star"
+        assert _lower_bound(5, parse_pattern("K4"))[1] == "construction:threshold"
 
 
 class TestShortcuts:
