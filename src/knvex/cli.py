@@ -86,7 +86,7 @@ def _cmd_vex(args) -> tuple[RunReport, int]:
         "lower_bound_source": res.lower_bound_source,
         "upper_bound_source": res.upper_bound_source,
         "witness": _family_json(res.witness),
-        "stats": {"nodes": res.nodes},
+        "stats": {"nodes": res.nodes, "core_nodes": res.core_nodes, "core_value": res.core_value},
     }
     return RunReport("vex", params, results), 0 if res.exact else 1
 
@@ -182,13 +182,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--pattern", required=True, help="named pattern (M2, S3, C5, K4, K2,3) or file")
     p.add_argument("--bounds", action="store_true", help="sandwich bounds, not the exact value")
-    p.add_argument("--budget", type=int, default=None, help="node budget for the search")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="node budget for the complement-core search (at most half) and the main search",
+    )
     p.add_argument(
         "--timeout",
         type=float,
         default=None,
-        help="wall-clock budget in seconds for the branch-and-bound search; certifying the"
-        " construction seed before it is not counted",
+        help="wall-clock budget in seconds for the complement-core search (at most half of"
+        " the time left) and the main search (the rest); certifying the construction seed"
+        " before them is not counted",
     )
     p.set_defaults(func=_cmd_vex)
 

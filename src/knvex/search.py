@@ -17,6 +17,9 @@ largest family the caller certified free, is the first incumbent.
 For matchings the complement-pair argument closes the search outright: a
 family doubling k+1 complement pairs spans k+1 disjoint edges, so at most
 k pairs may be doubled, and the doubling construction meets that cap.
+For any pattern, a free family F takes one set from each complement pair
+outside its core D = {A in F : complement(A) in F}, which is complement-closed
+and free, so vex(n, G) <= 2^(n-1) + vex_sym(n, G)/2: vex_exact's stop value.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class VexResult:
     lower_bound_source: str
     upper_bound_source: str | None
     nodes: int
+    core_value: int | None
+    core_nodes: int
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,7 @@ def max_family_avoiding(
     max_nodes: int | None = None,
     deadline: float | None = None,
     partitions: tuple[int, Sequence[Sequence[object]]] | None = None,
+    stop: int | None = None,
 ) -> tuple[int, Family, bool, int]:
     """Largest subset of the ground family that keeps the oracle satisfied.
 
@@ -72,6 +78,11 @@ def max_family_avoiding(
     partitions is None or a pair (cap, maps): each map sends every ground
     set (indexed by mask) to a group, and no feasible family holds more
     than cap sets of one group; see the module docstring.
+
+    stop is None or an upper bound the caller has proved on the value: the
+    search ends, exact, once the incumbent reaches it (with 0 nodes when the
+    seed does).  The incumbent changes only on strict improvement, so the
+    witness is the one the full search would return.
 
     Returns (value, witness, exact, nodes); with an exhausted budget the
     value is a certified lower bound.
@@ -106,10 +117,12 @@ def max_family_avoiding(
             raise ValueError("symmetric mode needs a complement-closed seed family")
         best = len(seed)
         best_masks = list(seed.members)
+    if stop is not None and best >= stop:
+        return best, Family.of(n, best_masks), True, 0
 
     unit_bounds, limits, used = _partition_bounds(units, partitions)
     nodes = 0
-    exhausted = False
+    halted = exhausted = False
     chosen: list[int] = []
     # Explicit stack instead of recursion: the tree is one level per unit,
     # 2^n deep, and visits nodes in the order the recursion did (include
@@ -126,17 +139,20 @@ def max_family_avoiding(
             for _, slot, _ in unit_bounds[i]:
                 used[slot] -= 1
         else:
-            if exhausted:
+            if halted:
                 continue
             if (max_nodes is not None and nodes >= max_nodes) or (
                 deadline is not None and nodes & _CHECK_EVERY == 0 and time.monotonic() > deadline
             ):
-                exhausted = True
+                halted = exhausted = True
                 continue
             nodes += 1
             if count > best:
                 best = count
                 best_masks = list(chosen)
+                if stop is not None and best >= stop:
+                    halted = True
+                    continue
             if i == len(units):
                 continue
             if count + capacity[i] <= best or (limits and min(limits) <= best):
@@ -261,13 +277,18 @@ def vex_exact(
 ) -> VexResult:
     """Most Kneser-cube vertices spanning a pattern-free subgraph, with witness.
 
-    Edgeless patterns and matchings resolve structurally at any ground size.
-    Otherwise branch and bound handles n <= 5; larger n requires an explicit
-    budget and may come back non-exact (the value then certifies a lower
-    bound).  nodes counts the branch-and-bound nodes visited.  The timeout
-    bounds the branch-and-bound search only: the construction seed is
-    certified before it without looking at the clock, which takes seconds
-    at n >= 12, so a run can last longer than its timeout.
+    Edgeless patterns and matchings resolve structurally at any ground size
+    (core_value and core_nodes are then 0).  Otherwise branch and bound
+    handles n <= 5; larger n requires an explicit budget and may come back
+    non-exact (the value then certifies a lower bound).  Two searches run:
+    the complement-core search for vex_sym (core_value, None if it did not
+    finish; core_nodes), then the main search (nodes), which stops at the
+    upper bound 2^(n-1) + core_value/2.  The core search gets at most half
+    the node budget and half the time left at its start, the main search
+    the rest, so nodes + core_nodes <= max_nodes.  The timeout bounds the
+    two searches only: the construction seed is certified before them
+    without looking at the clock, which takes seconds at n >= 12, so a run
+    can last longer than its timeout.
     """
     validate_ground(n)
     if max_nodes is not None and max_nodes < 0:
@@ -277,27 +298,50 @@ def vex_exact(
     shortcut = _structural_value(n, pattern)
     if shortcut is not None:
         value, witness, lower_source, upper_source = shortcut
-        return VexResult(value, witness, True, lower_source, upper_source, 0)
+        return VexResult(value, witness, True, lower_source, upper_source, 0, 0, 0)
 
     if n > 5 and max_nodes is None and timeout is None:
         raise ValueError("n > 5 needs an explicit budget (max_nodes or timeout)")
     deadline = time.monotonic() + timeout if timeout is not None else None
     seed, source = _lower_bound(n, pattern)
-    checker = freeness.incremental_checker(pattern, n)
+    ground = level_slice(n, 0, n)
+
+    now = time.monotonic()
+    core, _, core_exact, core_nodes = max_family_avoiding(
+        ground,
+        freeness.incremental_checker(pattern, n),
+        symmetric=True,
+        max_nodes=max_nodes // 2 if max_nodes is not None else None,
+        deadline=now + (deadline - now) / 2 if deadline is not None else None,
+    )
+    core_value = core if core_exact else None
+    stop = _core_upper_bound(n, core) if core_exact else None
     value, witness, exact, nodes = max_family_avoiding(
-        level_slice(n, 0, n),
-        checker,
+        ground,
+        freeness.incremental_checker(pattern, n),
         seed=seed,
-        max_nodes=max_nodes,
+        max_nodes=max_nodes - core_nodes if max_nodes is not None else None,
         deadline=deadline,
+        stop=stop,
     )
     # the seed was certified before the search; only a found witness is re-checked
     if witness != seed:
         if not freeness.is_free(witness, pattern):
             raise AssertionError("search produced a witness that fails re-verification")
         source = "search:branch-and-bound"
-    upper_source = "search:branch-and-bound" if exact else None
-    return VexResult(value, witness, exact, source, upper_source, nodes)
+    if value == stop:
+        upper_source = "search:complement-core"
+    elif exact:
+        upper_source = "search:branch-and-bound"
+    else:
+        upper_source = None
+    return VexResult(value, witness, exact, source, upper_source, nodes, core_value, core_nodes)
+
+
+def _core_upper_bound(n: int, core: int) -> int:
+    """2^(n-1) + core/2 bounds vex(n, G) when core = vex_sym(n, G); see the
+    module docstring."""
+    return (1 << (n - 1)) + core // 2
 
 
 def vex_bounds(n: int, pattern: PatternGraph) -> VexBounds:

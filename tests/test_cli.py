@@ -28,6 +28,7 @@ class TestExitCodes:
         assert results["exact"] is False
         assert results["upper_bound_source"] is None
         assert len(results["witness"]["sets"]) == results["value"]
+        assert results["stats"] == {"nodes": 1000, "core_nodes": 1000, "core_value": None}
 
     def test_budgeted_la_exits_1(self, capsys):
         code, out, _ = run(capsys, "la", "--n", "4", "--poset", "butterfly", "--budget", "5")
@@ -75,6 +76,27 @@ class TestExitCodes:
 
 
 class TestReports:
+    @pytest.mark.parametrize(
+        "pattern, value, stats",
+        [
+            ("C5", 24, {"nodes": 33, "core_nodes": 6700, "core_value": 16}),
+            ("K2,3", 26, {"nodes": 0, "core_nodes": 3147, "core_value": 20}),
+            ("K4", 28, {"nodes": 33, "core_nodes": 2507, "core_value": 24}),
+        ],
+    )
+    def test_exact_n5_runs_stop_at_the_core_bound(self, capsys, pattern, value, stats):
+        code, out, _ = run(capsys, "vex", "--n", "5", "--pattern", pattern)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["value"] == value
+        assert results["upper_bound_source"] == "search:complement-core"
+        assert results["stats"] == stats
+
+    def test_structural_runs_report_no_core_search(self, capsys):
+        code, out, _ = run(capsys, "vex", "--n", "5", "--pattern", "M2")
+        assert code == 0
+        assert json.loads(out)["results"]["stats"] == {"nodes": 0, "core_nodes": 0, "core_value": 0}
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,8 +1,9 @@
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from knvex import freeness
+from knvex import freeness, search
 from knvex.constructions import (
     bip_lower,
     clique_threshold_family,
@@ -13,7 +14,13 @@ from knvex.constructions import (
 from knvex.freeness import incremental_checker, is_free
 from knvex.patterns import PatternGraph, bipartition, make_pattern, odd_girth, parse_pattern
 from knvex.posets import e_of_poset, poset_from_bipartite
-from knvex.search import _lower_bound, max_family_avoiding, vex_bounds, vex_exact
+from knvex.search import (
+    _core_upper_bound,
+    _lower_bound,
+    max_family_avoiding,
+    vex_bounds,
+    vex_exact,
+)
 from knvex.sets import level_slice
 
 from oracles import max_family_size, subgraph_copy_exists
@@ -63,12 +70,99 @@ class TestVexExact:
         res = vex_exact(10, pattern, max_nodes=2000)
         assert not res.exact
         assert res.upper_bound_source is None
+        # the unfinished core search took half the budget and gave no stop value
+        assert (res.core_value, res.core_nodes, res.nodes) == (None, 1000, 1000)
         assert len(res.witness) == res.value
         assert is_free(res.witness, pattern)
 
     def test_n6_needs_a_budget(self):
         with pytest.raises(ValueError):
             vex_exact(6, parse_pattern("C5"))
+
+
+class TestComplementCore:
+    @pytest.mark.parametrize("name", SMALL_PATTERNS)
+    def test_upper_bound_covers_the_oracle_up_to_n3(self, name):
+        pattern = pattern_of(name)
+        for n in (1, 2, 3):
+            res = vex_exact(n, pattern)
+            upper = _core_upper_bound(n, res.core_value)
+            assert upper >= max_family_size(n, lambda fam: not subgraph_copy_exists(fam, pattern))
+            assert (res.upper_bound_source == "search:complement-core") == (res.value == upper)
+
+    @pytest.mark.parametrize(
+        "name, n, value, core_value, nodes, core_nodes",
+        [
+            ("C5", 4, 12, 8, 17, 136),
+            ("K2,3", 4, 13, 10, 17, 100),
+            ("K4", 4, 14, 12, 17, 57),
+            ("S3", 4, 11, 6, 0, 82),
+            ("C4", 4, 12, 8, 0, 104),
+            ("C5", 5, 24, 16, 33, 6700),
+            ("K2,3", 5, 26, 20, 0, 3147),
+            ("K4", 5, 28, 24, 33, 2507),
+            ("S3", 5, 22, 12, 33, 1600),
+            ("C4", 5, 26, 20, 0, 2980),
+        ],
+    )
+    def test_frozen_values_at_the_core_bound(self, name, n, value, core_value, nodes, core_nodes):
+        res = vex_exact(n, pattern_of(name))
+        assert res.exact
+        assert res.upper_bound_source == "search:complement-core"
+        assert (res.value, res.core_value) == (value, core_value)
+        assert (res.nodes, res.core_nodes) == (nodes, core_nodes)
+        assert res.value == _core_upper_bound(n, core_value)
+
+    @pytest.mark.parametrize("name", SMALL_PATTERNS)
+    def test_witness_is_the_full_search_witness(self, name):
+        pattern = pattern_of(name)
+        for n in (1, 2, 3, 4):
+            res = vex_exact(n, pattern)
+            seed, _ = _lower_bound(n, pattern)
+            full = max_family_avoiding(
+                level_slice(n, 0, n), incremental_checker(pattern, n), seed=seed
+            )
+            assert (res.value, res.witness, res.exact) == full[:3]
+
+    def test_an_unfinished_core_search_gives_no_stop_value(self):
+        # one core node finds only the empty core, whose bound 16 the star seed meets
+        res = vex_exact(5, parse_pattern("C5"), max_nodes=2)
+        assert not res.exact
+        assert res.upper_bound_source is None
+        assert (res.core_value, res.core_nodes, res.nodes) == (None, 1, 1)
+
+    def test_budgets_split_between_the_searches(self, monkeypatch):
+        budgets = []
+        real = search.max_family_avoiding
+
+        def recording(*args, **kwargs):
+            budgets.append((kwargs["max_nodes"], kwargs["deadline"]))
+            return real(*args, **kwargs)
+
+        # the clock reads 100 when the deadline is set and 104 from then on
+        readings = iter([100.0])
+        clock = SimpleNamespace(monotonic=lambda: next(readings, 104.0))
+        monkeypatch.setattr(search, "max_family_avoiding", recording)
+        monkeypatch.setattr(search, "time", clock)
+        res = vex_exact(4, parse_pattern("C5"), max_nodes=1001, timeout=10.0)
+        assert res.exact and res.core_nodes == 136
+        # the core search: half the nodes, half the 6 s left; the main search: the rest
+        assert budgets == [(500, 107.0), (1001 - 136, 110.0)]
+
+    def test_a_seed_meeting_stop_takes_no_nodes(self):
+        checker = incremental_checker(parse_pattern("C5"), 4)
+        seed = level_slice(4, 2, 4)
+        for stop in (11, 5):
+            result = max_family_avoiding(level_slice(4, 0, 4), checker, seed=seed, stop=stop)
+            assert result == (11, seed, True, 0)
+
+    def test_budgeted_s3_closes_at_n6(self):
+        res = vex_exact(6, parse_pattern("S3"), max_nodes=400_000)
+        # vex_sym = 20, so the upper bound 32 + 10 is the bip_lower seed's size
+        assert res.exact
+        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (42, 20, 0, 186_305)
+        assert res.lower_bound_source == "construction:bip_lower"
+        assert res.upper_bound_source == "search:complement-core"
 
 
 class TestSeedWork:
