@@ -186,15 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="node budget for the complement-core search (at most half) and the main search",
+        help="node budget for the complement-core search (run at 4 <= n <= 6; at most half)"
+        " and the main search",
     )
     p.add_argument(
         "--timeout",
         type=float,
         default=None,
-        help="wall-clock budget in seconds for the complement-core search (at most half of"
-        " the time left) and the main search (the rest); certifying the construction seed"
-        " before them is not counted",
+        help="wall-clock budget in seconds for the complement-core search (run at 4 <= n <= 6;"
+        " at most half of the time left) and the main search (the rest); certifying the"
+        " construction seed before them is not counted",
     )
     p.set_defaults(func=_cmd_vex)
 

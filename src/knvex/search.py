@@ -277,18 +277,20 @@ def vex_exact(
 ) -> VexResult:
     """Most Kneser-cube vertices spanning a pattern-free subgraph, with witness.
 
-    Edgeless patterns and matchings resolve structurally at any ground size
-    (core_value and core_nodes are then 0).  Otherwise branch and bound
-    handles n <= 5; larger n requires an explicit budget and may come back
-    non-exact (the value then certifies a lower bound).  Two searches run:
-    the complement-core search for vex_sym (core_value, None if it did not
-    finish; core_nodes), then the main search (nodes), which stops at the
-    upper bound 2^(n-1) + core_value/2.  The core search gets at most half
-    the node budget and half the time left at its start, the main search
-    the rest, so nodes + core_nodes <= max_nodes.  The timeout bounds the
-    two searches only: the construction seed is certified before them
-    without looking at the clock, which takes seconds at n >= 12, so a run
-    can last longer than its timeout.
+    Edgeless patterns and matchings resolve structurally at any ground size.
+    Otherwise branch and bound handles n <= 5; larger n requires an explicit
+    budget and may come back non-exact (the value then certifies a lower
+    bound).  For n in _CORE_SEARCH_NS two searches run: the complement-core
+    search for vex_sym (core_value, None if it did not finish; core_nodes),
+    then the main search (nodes), which stops at the upper bound
+    2^(n-1) + core_value/2.  The core search gets at most half the node
+    budget and half the time left at its start, the main search the rest,
+    so nodes + core_nodes <= max_nodes.  For other n, and for the
+    structural cases, no core search runs (core_value None, core_nodes 0)
+    and the main search gets the whole budget.  The timeout bounds the
+    searches only: the construction seed is certified before them without
+    looking at the clock, which takes seconds at n >= 12, so a run can last
+    longer than its timeout.
     """
     validate_ground(n)
     if max_nodes is not None and max_nodes < 0:
@@ -298,27 +300,32 @@ def vex_exact(
     shortcut = _structural_value(n, pattern)
     if shortcut is not None:
         value, witness, lower_source, upper_source = shortcut
-        return VexResult(value, witness, True, lower_source, upper_source, 0, 0, 0)
+        return VexResult(value, witness, True, lower_source, upper_source, 0, None, 0)
 
     if n > 5 and max_nodes is None and timeout is None:
         raise ValueError("n > 5 needs an explicit budget (max_nodes or timeout)")
     deadline = time.monotonic() + timeout if timeout is not None else None
     seed, source = _lower_bound(n, pattern)
     ground = level_slice(n, 0, n)
+    checker = freeness.incremental_checker(pattern, n)
 
-    now = time.monotonic()
-    core, _, core_exact, core_nodes = max_family_avoiding(
-        ground,
-        freeness.incremental_checker(pattern, n),
-        symmetric=True,
-        max_nodes=max_nodes // 2 if max_nodes is not None else None,
-        deadline=now + (deadline - now) / 2 if deadline is not None else None,
-    )
-    core_value = core if core_exact else None
-    stop = _core_upper_bound(n, core) if core_exact else None
+    core_value = stop = None
+    core_nodes = 0
+    if n in _CORE_SEARCH_NS:
+        now = time.monotonic()
+        core, _, core_exact, core_nodes = max_family_avoiding(
+            ground,
+            checker,
+            symmetric=True,
+            max_nodes=max_nodes // 2 if max_nodes is not None else None,
+            deadline=now + (deadline - now) / 2 if deadline is not None else None,
+        )
+        if core_exact:
+            core_value = core
+            stop = _core_upper_bound(n, core)
     value, witness, exact, nodes = max_family_avoiding(
         ground,
-        freeness.incremental_checker(pattern, n),
+        checker,
         seed=seed,
         max_nodes=max_nodes - core_nodes if max_nodes is not None else None,
         deadline=deadline,
@@ -336,6 +343,15 @@ def vex_exact(
     else:
         upper_source = None
     return VexResult(value, witness, exact, source, upper_source, nodes, core_value, core_nodes)
+
+
+# Ground sizes where vex_exact runs the core search.  At n <= 3 it costs more
+# than it saves: the full search of C5 at n = 3 visits 16 nodes, the core and
+# stopped searches 8 + 9 (at n = 4: 671 against 136 + 17).  At n >= 7 no core
+# search has finished in a usable budget: S3, the smallest measured core search
+# at n = 6 (186,305 nodes), was still open after 3,000,000 nodes at n = 7, and
+# an unfinished core search gives no stop value, so its nodes would be lost.
+_CORE_SEARCH_NS = range(4, 7)
 
 
 def _core_upper_bound(n: int, core: int) -> int:

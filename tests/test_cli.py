@@ -28,7 +28,9 @@ class TestExitCodes:
         assert results["exact"] is False
         assert results["upper_bound_source"] is None
         assert len(results["witness"]["sets"]) == results["value"]
-        assert results["stats"] == {"nodes": 1000, "core_nodes": 1000, "core_value": None}
+        # no core search at n = 10: the main search gets the whole budget
+        assert results["value"] == 772
+        assert results["stats"] == {"nodes": 2000, "core_nodes": 0, "core_value": None}
 
     def test_budgeted_la_exits_1(self, capsys):
         code, out, _ = run(capsys, "la", "--n", "4", "--poset", "butterfly", "--budget", "5")
@@ -95,7 +97,7 @@ class TestReports:
     def test_structural_runs_report_no_core_search(self, capsys):
         code, out, _ = run(capsys, "vex", "--n", "5", "--pattern", "M2")
         assert code == 0
-        assert json.loads(out)["results"]["stats"] == {"nodes": 0, "core_nodes": 0, "core_value": 0}
+        assert json.loads(out)["results"]["stats"] == {"nodes": 0, "core_nodes": 0, "core_value": None}
 
     @pytest.mark.parametrize(
         "argv",

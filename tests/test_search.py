@@ -70,8 +70,9 @@ class TestVexExact:
         res = vex_exact(10, pattern, max_nodes=2000)
         assert not res.exact
         assert res.upper_bound_source is None
-        # the unfinished core search took half the budget and gave no stop value
-        assert (res.core_value, res.core_nodes, res.nodes) == (None, 1000, 1000)
+        # no core search at n = 10: the main search gets the whole budget
+        assert res.value == 772
+        assert (res.core_value, res.core_nodes, res.nodes) == (None, 0, 2000)
         assert len(res.witness) == res.value
         assert is_free(res.witness, pattern)
 
@@ -85,10 +86,29 @@ class TestComplementCore:
     def test_upper_bound_covers_the_oracle_up_to_n3(self, name):
         pattern = pattern_of(name)
         for n in (1, 2, 3):
-            res = vex_exact(n, pattern)
-            upper = _core_upper_bound(n, res.core_value)
+            ground = level_slice(n, 0, n)
+            core, _, exact, _ = max_family_avoiding(
+                ground, incremental_checker(pattern, n), symmetric=True
+            )
+            assert exact
+            upper = _core_upper_bound(n, core)
             assert upper >= max_family_size(n, lambda fam: not subgraph_copy_exists(fam, pattern))
-            assert (res.upper_bound_source == "search:complement-core") == (res.value == upper)
+
+    @pytest.mark.parametrize("n, max_nodes", [(3, None), (3, 1000), (7, 1000)])
+    def test_no_core_search_outside_its_ground_sizes(self, monkeypatch, n, max_nodes):
+        budgets = []
+        real = search.max_family_avoiding
+
+        def recording(*args, **kwargs):
+            budgets.append((kwargs.get("symmetric", False), kwargs["max_nodes"], kwargs["stop"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "max_family_avoiding", recording)
+        res = vex_exact(n, parse_pattern("C5"), max_nodes=max_nodes)
+        # one main search with the whole budget and no stop value
+        assert budgets == [(False, max_nodes, None)]
+        assert (res.core_value, res.core_nodes) == (None, 0)
+        assert res.upper_bound_source != "search:complement-core"
 
     @pytest.mark.parametrize(
         "name, n, value, core_value, nodes, core_nodes",
