@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 from . import __version__
 from .constructions import CONSTRUCTION_PARAMETERS, build_construction, verify_construction
 from .cycle import double_count_check
-from .patterns import PatternGraph, parse_pattern, pattern_from_text
-from .posets import Poset, e_of_poset, la, named_poset, poset_from_text
+from .patterns import parse_pattern, pattern_from_text
+from .posets import e_of_poset, la, named_poset, poset_from_text
 from .search import vex_bounds, vex_exact
 from .sets import Family, elements_of, family_from_text, random_family, validate_ground
 
@@ -45,28 +45,20 @@ def _family_json(fam: Family) -> dict:
     }
 
 
-def _load_pattern(spec: str) -> PatternGraph:
+def _load(spec: str, by_name, from_text):
+    """by_name(spec), else from_text of the file named spec; when neither a
+    name nor a file matches, the name's ValueError is raised."""
     try:
-        return parse_pattern(spec)
+        return by_name(spec)
     except ValueError:
         if os.path.exists(spec):
             with open(spec) as fh:
-                return pattern_from_text(fh.read())
-        raise
-
-
-def _load_poset(spec: str) -> Poset:
-    try:
-        return named_poset(spec)
-    except ValueError:
-        if os.path.exists(spec):
-            with open(spec) as fh:
-                return poset_from_text(fh.read())
+                return from_text(fh.read())
         raise
 
 
 def _cmd_vex(args) -> tuple[RunReport, int]:
-    pattern = _load_pattern(args.pattern)
+    pattern = _load(args.pattern, parse_pattern, pattern_from_text)
     params = {"n": args.n, "pattern": args.pattern, "mode": "bounds" if args.bounds else "exact"}
     if args.bounds:
         b = vex_bounds(args.n, pattern)
@@ -92,7 +84,7 @@ def _cmd_vex(args) -> tuple[RunReport, int]:
 
 
 def _cmd_table(args) -> tuple[RunReport | None, int]:
-    pattern = _load_pattern(args.pattern)
+    pattern = _load(args.pattern, parse_pattern, pattern_from_text)
     lo, hi = args.n_range
     # checked before the header, so a rejected range prints nothing
     if lo > hi:
@@ -110,7 +102,7 @@ def _cmd_table(args) -> tuple[RunReport | None, int]:
 
 
 def _cmd_la(args) -> tuple[RunReport, int]:
-    forbidden = [_load_poset(spec) for spec in args.poset]
+    forbidden = [_load(spec, named_poset, poset_from_text) for spec in args.poset]
     res = la(args.n, forbidden, symmetric=args.symmetric, max_nodes=args.budget)
     params = {"n": args.n, "posets": args.poset, "symmetric": args.symmetric}
     results = {
@@ -123,7 +115,7 @@ def _cmd_la(args) -> tuple[RunReport, int]:
 
 
 def _cmd_eposet(args) -> tuple[RunReport, int]:
-    poset = _load_poset(args.poset)
+    poset = _load(args.poset, named_poset, poset_from_text)
     cert = e_of_poset(poset, args.nmax)
     results = {
         "e": cert.value,

@@ -1,9 +1,10 @@
 """Generators for the extremal families, each with its exact size formula.
 
-Every generator is paired with a closed-form size computed independently of
-the enumeration; a mismatch between the two is raised as a hard error, not a
-warning.  Freeness claims are certified separately (verify_construction runs
-the subgraph checker).
+build_construction pairs every generator with a closed-form size computed
+independently of the enumeration and with the pattern the family avoids; a
+mismatch between generator and formula is raised as a hard error, not a
+warning.  Freeness claims are certified separately (verify_construction and
+the search seeds run the subgraph checker).
 """
 
 from __future__ import annotations
@@ -149,31 +150,13 @@ def e2_core(n: int) -> Family:
     return Family.of(n, keep)
 
 
-def _claimed_size(name: str, n: int, params: dict[str, int]) -> int:
-    if name == "star":
-        return 1 << (n - 1)
-    if name == "matching_extremal":
-        return (1 << (n - 1)) + params["k"]
-    if name == "bip_lower":
-        if n % 2 == 0:
-            return (1 << (n - 1)) + comb(n, n // 2) // 2
-        return (1 << (n - 1)) + comb(n - 1, n // 2 - 1)
-    if name == "threshold":
-        k = params["k"]
-        return (1 << n) - binom_tail(n, k * n // (2 * k + 1), "le")
-    if name == "clique_threshold":
-        return (1 << n) - binom_tail(n, n // (params["r"] + 1), "le")
-    # e2_two_level; build_construction has checked the name
-    if n % 2:
-        return (1 << (n - 1)) + comb(n, n // 2)
-    # sets through 1 of size >= n/2-1, plus sets whose part beyond 1 has size >= n/2
-    return binom_tail(n - 1, n // 2 - 2, "ge") + binom_tail(n - 1, n // 2, "ge")
-
-
 def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
     """Instantiate a named family together with its size formula and freeness claim.
 
-    An unknown name, or a missing or unexpected parameter, raises ValueError.
+    Each construction has one branch: its generator, which validates n and
+    the parameters, then its closed-form size, computed independently of the
+    enumeration, then the pattern it avoids.  An unknown name, or a missing
+    or unexpected parameter, raises ValueError.
     """
     if name not in CONSTRUCTION_PARAMETERS:
         raise ValueError(f"unknown construction {name!r}")
@@ -184,23 +167,31 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
         raise ValueError(f"construction {name!r} {problem} parameter {key!r}")
     if name == "star":
         fam = star_family(n, params["x"])
-        claim = "K2"
+        size, claim = 1 << (n - 1), "K2"
     elif name == "matching_extremal":
-        fam = matching_extremal(n, params["k"])
-        claim = f"M{params['k'] + 1}"
+        k = params["k"]
+        fam = matching_extremal(n, k)
+        size, claim = (1 << (n - 1)) + k, f"M{k + 1}"
     elif name == "bip_lower":
         fam = bip_lower(n)
-        claim = "S2"  # max degree <= 1 is exactly 2-star freeness
+        extra = comb(n, n // 2) // 2 if n % 2 == 0 else comb(n - 1, n // 2 - 1)
+        size, claim = (1 << (n - 1)) + extra, "S2"  # max degree <= 1 is 2-star freeness
     elif name == "threshold":
-        fam = threshold_family(n, params["k"])
-        claim = f"C{2 * params['k'] + 1}"
+        k = params["k"]
+        fam = threshold_family(n, k)
+        size, claim = (1 << n) - binom_tail(n, k * n // (2 * k + 1), "le"), f"C{2 * k + 1}"
     elif name == "clique_threshold":
-        fam = clique_threshold_family(n, params["r"])
-        claim = f"K{params['r'] + 1}"
-    else:
+        r = params["r"]
+        fam = clique_threshold_family(n, r)
+        size, claim = (1 << n) - binom_tail(n, n // (r + 1), "le"), f"K{r + 1}"
+    else:  # e2_two_level
         fam = e2_two_level(n)
+        if n % 2:
+            size = (1 << (n - 1)) + comb(n, n // 2)
+        else:
+            # sets through 1 of size >= n/2-1, plus sets whose part beyond 1 has size >= n/2
+            size = binom_tail(n - 1, n // 2 - 2, "ge") + binom_tail(n - 1, n // 2, "ge")
         claim = "C4"
-    size = _claimed_size(name, n, params)
     return NamedConstruction(name, dict(params), fam, size, claim)
 
 

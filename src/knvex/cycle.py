@@ -57,11 +57,6 @@ class CyclicPerm:
     def n(self) -> int:
         return len(self.order)
 
-    @cached_property
-    def position(self) -> dict[int, int]:
-        """Element -> 0-based position along the cycle."""
-        return {e: i for i, e in enumerate(self.order)}
-
     def interval_mask(self, start: int, length: int) -> int:
         """Mask of the interval of given length starting at 1-based position start."""
         n = self.n
@@ -108,40 +103,23 @@ def is_interval(mask: int, perm: CyclicPerm) -> bool:
     perm.interval_masks, singletons and [n] included.  Raises ValueError for
     the empty set and for a mask with bits outside [n].
     """
-    n = perm.n
-    validate_mask(mask, n)
-    size = mask.bit_count()
-    if size == 0:
+    validate_mask(mask, perm.n)
+    if mask == 0:
         raise ValueError("the empty set is not an interval")
-    # A gap between cyclically adjacent occupied positions is a break; a
-    # proper interval has exactly one, a singleton and [n] have none.
-    pos = sorted(perm.position[e] for e in _elements(mask))
-    breaks = sum(1 for i in range(size) if (pos[(i + 1) % size] - pos[i]) % n > 1)
-    return breaks <= 1
-
-
-def _elements(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length()
+    return mask in perm.interval_masks
 
 
 def interval_spec_of(mask: int, perm: CyclicPerm) -> IntervalSpec:
     """Positional form of an interval mask; spec.realize(perm) == mask.
 
     Raises ValueError for a mask that is empty, has bits outside [n], or is
-    not an interval of the permutation.
+    not an interval of the permutation.  [n] starts at position 1.
     """
-    n = perm.n
-    size = mask.bit_count()
     if not is_interval(mask, perm):
         raise ValueError("mask is not an interval of this permutation")
-    pos = sorted(perm.position[e] for e in _elements(mask))
-    for i in range(size):
-        if (pos[i] - pos[i - 1]) % n > 1:
-            return IntervalSpec(pos[i] + 1, size)
-    return IntervalSpec(pos[0] + 1, size)
+    size = mask.bit_count()
+    start = next(s for s in range(1, perm.n + 1) if perm.interval_mask(s, size) == mask)
+    return IntervalSpec(start, size)
 
 
 def restrict_to_intervals(fam: Family, perm: CyclicPerm) -> Family:

@@ -317,9 +317,6 @@ class _CheckerBase:
     def currently_free(self) -> bool:
         return self._violated_at is None
 
-    def current_family(self) -> Family:
-        return Family.of(self.n, self._masks)
-
     def _completes_copy(self, new_index: int) -> bool:
         # any new copy must use the set just pushed
         count = len(self._masks)

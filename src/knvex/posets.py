@@ -409,8 +409,9 @@ def la(
     forbidden poset meets each chain in at most chain_cap sets, so each of
     the n cyclic relabellings of the symmetric chain decomposition bounds
     it.  The first free middle-level window (widest first; complement-closed
-    ones only, in symmetric mode) seeds the incumbent.  nodes counts the
-    branch-and-bound nodes visited.
+    ones only, in symmetric mode) seeds the incumbent.  A witness the search
+    found, not the seed, is re-checked against every forbidden poset before
+    it is returned.  nodes counts the branch-and-bound nodes visited.
     """
     validate_ground(n)
     if n > 5:
@@ -439,6 +440,9 @@ def la(
         max_nodes=max_nodes,
         partitions=partitions,
     )
+    # the seed was certified before the search; only a found witness is re-checked
+    if witness != seed and any(contains_poset_copy(witness, p) is not None for p in forbidden):
+        raise AssertionError("search produced a witness that fails re-verification")
     return LaResult(value, witness, exact, nodes)
 
 

@@ -218,27 +218,25 @@ def _partition_bounds(units, partitions):
 
 
 def _lower_bound(n: int, pattern: PatternGraph) -> tuple[Family, str]:
-    """The first construction certified pattern-free, largest first (a stable
-    sort, so ties keep the order built here), with its source."""
-    candidates: list[tuple[Family, str]] = []
+    """The first construction certified pattern-free, largest claimed size
+    first (a stable sort, so ties keep the order listed here), with its source."""
+    candidates: list[tuple[str, dict[str, int]]] = []
     if pattern.edge_count >= 1:
-        candidates.append((constructions.star_family(n, 1), "construction:star"))
+        candidates.append(("star", {}))
     if bipartition(pattern) is not None:
         if not is_matching(pattern) and n >= 2:
-            candidates.append((constructions.bip_lower(n), "construction:bip_lower"))
+            candidates.append(("bip_lower", {}))
             if n >= 3 and _two_levels_free(pattern):
-                candidates.append((constructions.e2_two_level(n), "construction:e2_two_level"))
+                candidates.append(("e2_two_level", {}))
     else:
-        k = (odd_girth(pattern) - 1) // 2
-        candidates.append((constructions.threshold_family(n, k), "construction:threshold"))
+        candidates.append(("threshold", {"k": (odd_girth(pattern) - 1) // 2}))
         r = pattern.vertex_count - 1
         if r >= 2 and pattern.edge_count == r * (r + 1) // 2:
-            candidates.append(
-                (constructions.clique_threshold_family(n, r), "construction:clique_threshold")
-            )
-    for fam, source in sorted(candidates, key=lambda pair: len(pair[0]), reverse=True):
-        if freeness.is_free(fam, pattern):
-            return fam, source
+            candidates.append(("clique_threshold", {"r": r}))
+    built = [constructions.build_construction(name, n, **params) for name, params in candidates]
+    for nc in sorted(built, key=lambda nc: nc.claimed_size, reverse=True):
+        if freeness.is_free(nc.family, pattern):
+            return nc.family, f"construction:{nc.name}"
     raise AssertionError("no verified lower-bound construction; star should always apply")
 
 
@@ -262,10 +260,10 @@ def _structural_value(n: int, pattern: PatternGraph) -> tuple[int, Family, str, 
     if k >= half:
         # the cube's maximum matching is 2^(n-1), too small for the pattern
         return 1 << n, level_slice(n, 0, n), "whole-cube", "complement-pair-bound"
-    witness = constructions.matching_extremal(n, k)
-    if not freeness.is_free(witness, pattern):
+    nc = constructions.build_construction("matching_extremal", n, k=k)
+    if not freeness.is_free(nc.family, pattern):
         raise AssertionError("doubling construction failed its freeness certificate")
-    return half + k, witness, "construction:matching_extremal", "complement-pair-bound"
+    return nc.claimed_size, nc.family, f"construction:{nc.name}", "complement-pair-bound"
 
 
 def vex_exact(

@@ -180,20 +180,11 @@ def upset(fam: Family) -> Family:
     return Family.of(n, seen)
 
 
-def random_family(
-    n: int, seed: int = 0, *, density: float = 0.5, allow_boundary: bool = False
-) -> Family:
-    """Seeded random family; by default the empty set and [n] are excluded."""
+def random_family(n: int, seed: int = 0) -> Family:
+    """Seeded random family: each set other than the empty set and [n] with probability 1/2."""
     validate_ground(n)
     rng = random.Random(seed)
-    full = (1 << n) - 1
-    masks = []
-    for mask in range(1 << n):
-        if not allow_boundary and mask in (0, full):
-            continue
-        if rng.random() < density:
-            masks.append(mask)
-    return Family.of(n, masks)
+    return Family.of(n, (m for m in range(1, (1 << n) - 1) if rng.random() < 0.5))
 
 
 def family_to_text(fam: Family) -> str:

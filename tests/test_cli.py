@@ -55,9 +55,16 @@ class TestExitCodes:
             ("table", "--pattern", "C5", "--n", "0..3"),
             ("verify", "--construction", "threshold", "--n", "6"),
             ("verify", "--construction", "star", "--n", "5", "--k", "3"),
+            ("eposet", "--poset", "nonsense", "--nmax", "4"),
+            ("la", "--n", "3", "--poset", "bad.poset"),
+            ("vex", "--n", "3", "--pattern", "bad.pattern"),
         ],
     )
-    def test_input_error_exits_2_with_one_line(self, capsys, argv):
+    def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        # files that exist but do not parse
+        (tmp_path / "bad.poset").write_text("e 3\n0 1\n")
+        (tmp_path / "bad.pattern").write_text("p 3\n0 1 2\n")
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -137,19 +137,22 @@ class TestE2TwoLevel:
 
 
 class TestNamedConstructions:
+    # (name, params, smallest n the generator accepts)
     CASES = [
-        ("star", {}),
-        ("matching_extremal", {"k": 2}),
-        ("bip_lower", {}),
-        ("threshold", {"k": 1}),
-        ("threshold", {"k": 2}),
-        ("clique_threshold", {"r": 2}),
-        ("e2_two_level", {}),
+        ("star", {}, 1),
+        ("matching_extremal", {"k": 1}, 1),
+        ("matching_extremal", {"k": 2}, 2),
+        ("bip_lower", {}, 2),
+        ("threshold", {"k": 1}, 1),
+        ("threshold", {"k": 2}, 1),
+        ("clique_threshold", {"r": 2}, 1),
+        ("clique_threshold", {"r": 3}, 1),
+        ("e2_two_level", {}, 3),
     ]
 
     def test_formula_matches_generator_everywhere(self):
-        for n in range(3, 13):
-            for name, params in self.CASES:
+        for name, params, first in self.CASES:
+            for n in range(first, 13):
                 nc = build_construction(name, n, **params)
                 assert len(nc.family) == nc.claimed_size
 

@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from knvex import posets, search
 from knvex.constructions import star_family
 from knvex.freeness import _Plan, check_witness, induced_kneser
 from knvex.patterns import Bipartition, bipartition, make_pattern
@@ -394,6 +395,36 @@ class TestLa:
             assert res.nodes <= plain.nodes
             saved += plain.nodes - res.nodes
         assert saved > 0
+
+    @pytest.fixture
+    def copy_calls(self, monkeypatch):
+        calls = []
+        real = posets.contains_poset_copy
+
+        def counting(fam, poset):
+            calls.append(len(fam))
+            return real(fam, poset)
+
+        monkeypatch.setattr(posets, "contains_poset_copy", counting)
+        return calls
+
+    def test_found_witness_is_rechecked(self, copy_calls):
+        res = la(4, [v_poset()])
+        assert res.value == 7
+        # the two seed windows (levels 1..2 hold a V, level 2 does not), then the witness
+        assert copy_calls == [10, 6, 7]
+
+    def test_seed_witness_is_not_rechecked(self, copy_calls):
+        res = la(4, [chain(2)])
+        assert res.witness == level_slice(4, 2, 2)
+        assert copy_calls == [10, 6]
+
+    def test_a_witness_failing_the_recheck_raises(self, monkeypatch):
+        # a search that returns the two lower levels, which hold a V
+        bad = level_slice(4, 1, 2)
+        monkeypatch.setattr(search, "max_family_avoiding", lambda *a, **k: (10, bad, True, 0))
+        with pytest.raises(AssertionError):
+            la(4, [v_poset()])
 
     def test_budget_returns_lower_bound(self):
         res = la(4, [v_poset()], max_nodes=5)

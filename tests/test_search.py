@@ -6,6 +6,7 @@ import pytest
 from knvex import freeness, search
 from knvex.constructions import (
     bip_lower,
+    build_construction,
     clique_threshold_family,
     e2_two_level,
     star_family,
@@ -267,6 +268,26 @@ class TestLowerBound:
         pattern = pattern_of(name)
         for n in range(2, 10):
             assert _lower_bound(n, pattern) == first_maximal_certified(n, pattern)
+
+    @pytest.mark.parametrize("name", ["C5", "K3", "K4", "S3", "K2,3", "C4", "P4"])
+    def test_source_names_a_built_construction_equal_to_the_witness(self, name):
+        # (name, params, smallest n) of every construction these patterns can take
+        named = [
+            ("star", {}, 1),
+            ("threshold", {"k": 1}, 1),
+            ("threshold", {"k": 2}, 1),
+            ("clique_threshold", {"r": 2}, 1),
+            ("clique_threshold", {"r": 3}, 1),
+            ("bip_lower", {}, 2),
+            ("e2_two_level", {}, 3),
+        ]
+        pattern = pattern_of(name)
+        for n in range(1, 9):
+            witness, source = _lower_bound(n, pattern)
+            built = [build_construction(c, n, **kw) for c, kw, first in named if n >= first]
+            assert any(
+                nc.family == witness and source == "construction:" + nc.name for nc in built
+            )
 
     def test_ties_keep_the_build_order(self):
         # equal sizes: star before threshold for C5, threshold before clique_threshold for K4
