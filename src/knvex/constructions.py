@@ -110,44 +110,26 @@ def clique_threshold_family(n: int, r: int) -> Family:
 
 
 def e2_two_level(n: int) -> Family:
-    """Upset of a two-level core that stays free of width-2 poset patterns.
+    """Upset of a two-level base, e2_core(n), that stays free of width-2 poset patterns.
 
     Odd n: the two middle levels (upset = everything of size >= floor(n/2)).
     Even n: sets through element 1 of sizes n/2-1, n/2 joined with sets
     avoiding it of sizes n/2, n/2+1; the two halves are never nested and each
     is two consecutive levels of an (n-1)-cube.
     """
+    return upset(e2_core(n))
+
+
+def e2_core(n: int) -> Family:
+    """The two-level base of e2_two_level (its non-isolated part)."""
     validate_ground(n)
     if n < 3:
         raise ValueError("needs n >= 3")
     if n % 2:
-        return level_slice(n, n // 2, n)
-    half = n // 2
-    base = []
-    for m in range(1 << n):
-        size = m.bit_count()
-        if m & 1:
-            if size in (half - 1, half):
-                base.append(m)
-        elif size in (half, half + 1):
-            base.append(m)
-    return upset(Family.of(n, base))
-
-
-def e2_core(n: int) -> Family:
-    """The generating two-level core of e2_two_level (its non-isolated part)."""
-    validate_ground(n)
-    if n % 2:
         return level_slice(n, n // 2, (n + 1) // 2)
-    fam = e2_two_level(n)
     half = n // 2
-    keep = [
-        m
-        for m in fam
-        if (m & 1 and m.bit_count() in (half - 1, half))
-        or (not m & 1 and m.bit_count() in (half, half + 1))
-    ]
-    return Family.of(n, keep)
+    sizes = {0: (half, half + 1), 1: (half - 1, half)}  # by m & 1: avoiding element 1, through it
+    return Family.of(n, (m for m in range(1 << n) if m.bit_count() in sizes[m & 1]))
 
 
 def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
@@ -155,8 +137,10 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
 
     Each construction has one branch: its generator, which validates n and
     the parameters, then its closed-form size, computed independently of the
-    enumeration, then the pattern it avoids.  An unknown name, or a missing
-    or unexpected parameter, raises ValueError.
+    enumeration, then the pattern it avoids.  An unknown name, a missing or
+    unexpected parameter, or a ground size at which the family (at least
+    2^(n-1) sets for every construction) is larger than the freeness check
+    takes raises ValueError before any generator runs.
     """
     if name not in CONSTRUCTION_PARAMETERS:
         raise ValueError(f"unknown construction {name!r}")
@@ -165,6 +149,12 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
     for key in sorted(set(params) ^ set(CONSTRUCTION_PARAMETERS[name])):
         problem = "takes no" if key in params else "needs the"
         raise ValueError(f"construction {name!r} {problem} parameter {key!r}")
+    validate_ground(n)  # before the shift, which n < 1 would break
+    if 1 << (n - 1) > freeness.MAX_VERTICES:
+        raise ValueError(
+            f"construction {name!r} at n={n} has at least 2^{n - 1} sets, "
+            f"more than the {freeness.MAX_VERTICES} the freeness check takes"
+        )
     if name == "star":
         fam = star_family(n, params["x"])
         size, claim = 1 << (n - 1), "K2"

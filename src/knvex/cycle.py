@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import ceil, comb
+from math import ceil, comb, factorial
 from typing import NamedTuple
 
+from . import freeness
+from .patterns import make_pattern
 from .sets import Family, binom_tail, validate_ground, validate_mask
 
 
@@ -160,14 +162,11 @@ def double_count_check(fam: Family) -> DoubleCount:
     full = (1 << n) - 1
     if 0 in fam or full in fam:
         raise ValueError("family must avoid the empty set and [n]")
-    weights = {m: comb(n, m.bit_count()) for m in fam}
+    weights = {m: weight(n, m) for m in fam}
     lhs = 0
     for intervals in _interval_sets(n):
         lhs += sum(w for m, w in weights.items() if m in intervals)
-    factorial_n = 1
-    for i in range(2, n + 1):
-        factorial_n *= i
-    rhs = len(fam) * factorial_n
+    rhs = len(fam) * factorial(n)
     return DoubleCount(lhs, rhs, lhs == rhs)
 
 
@@ -268,9 +267,6 @@ def missing_image_check(fam: Family, perm: CyclicPerm, k: int) -> bool:
     assertion.  Preconditions are enforced: members must be intervals of the
     permutation and the induced subgraph must be free of the (2k+1)-cycle.
     """
-    from . import freeness
-    from .patterns import make_pattern
-
     n = fam.n
     intervals = perm.interval_masks
     for m in fam:

@@ -196,9 +196,10 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None):
 
     rows[r](i) is the bitset of host indices that host index i relates to in
     relation r of the plan.  With forced=(p, h) the pattern vertex p is
-    pinned to host index h.  Unforced, a host that fails for the first
-    vertex leaves the domains of that vertex's whole automorphism orbit.
-    Returns the assignment dict or None.
+    pinned to host index h.  An unforced search reads only rows[0], so a
+    static host may pass that getter alone.  Unforced, a host that fails for
+    the first vertex leaves the domains of that vertex's whole automorphism
+    orbit.  Returns the assignment dict or None.
     """
     size = plan.size
     if size > host_size:
@@ -338,7 +339,6 @@ class IncrementalChecker(_CheckerBase):
     """
 
     def __init__(self, pattern: PatternGraph, n: int):
-        self.pattern = pattern
         plan = _graph_plan(pattern)
         # highest degree first: with that order a relabelled K2,3 takes the
         # same time under every labelling, not up to 3x more

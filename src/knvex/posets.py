@@ -7,9 +7,10 @@ obstruct pattern copies in the Kneser cube.  This module owns
   * the Poset type (strict order on <= 16 labeled elements, bitmask rows),
   * weak-copy detection in families (order-preserving injections; an
     injection makes every required inclusion proper automatically), through
-    the embedding engine of freeness.py with the containment rows (up,
-    down) and a linear extension as the order, so only "above" is checked
-    along it,
+    the embedding engine of freeness.py with a linear extension as the
+    order, so only "above" is checked along it: a static search builds the
+    superset rows alone, the incremental checker also the subset rows its
+    pinned pushes read,
   * La(n, *) exact maximization at desk scale via the shared search engine,
   * bounded certification of e(P), the number of consecutive Boolean-cube
     levels that stay P-free,
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freeness import GraphWitness, _CheckerBase, _embed, _Plan, induced_kneser
-from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
+from .freeness import GraphWitness, _CheckerBase, _embed, _Plan, check_witness, induced_kneser
+from .patterns import Bipartition, PatternGraph, bipartition, components, make_pattern
 from .sets import (
     Family,
     complement,
@@ -156,24 +157,12 @@ def height(poset: Poset) -> int:
 
 
 def is_tree_poset(poset: Poset) -> bool:
-    """Whether the Hasse diagram is a tree as an undirected graph."""
-    edges = poset.covers
-    if len(edges) != poset.size - 1:
+    """Whether the Hasse diagram is a tree as an undirected graph: size - 1
+    covers joining every element into one component."""
+    covers = poset.covers
+    if len(covers) != poset.size - 1:
         return False
-    parent = list(range(poset.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, q in edges:
-        rp, rq = find(p), find(q)
-        if rp == rq:
-            return False
-        parent[rp] = rq
-    return True
+    return len(components(PatternGraph.make(poset.size, covers))) == 1
 
 
 def poset_from_bipartite(graph: PatternGraph, side_a: frozenset[int] | None = None) -> Poset:
@@ -290,22 +279,19 @@ class PosetCopy:
     mapping: dict[int, int]
 
 
-def _containment_rows(members: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """up[i]: indices of proper supersets of member i; down[i]: proper subsets."""
+def _superset_rows(members: tuple[int, ...]) -> list[int]:
+    """up[i]: indices of the proper supersets of member i.
+
+    Members ascend by mask and a proper superset has the larger mask, so
+    only later members are scanned.
+    """
     count = len(members)
     up = [0] * count
-    down = [0] * count
-    for i in range(count):
-        mi = members[i]
+    for i, mi in enumerate(members):
         for j in range(i + 1, count):
-            mj = members[j]
-            if mi & mj == mi:
+            if mi & members[j] == mi:
                 up[i] |= 1 << j
-                down[j] |= 1 << i
-            elif mi & mj == mj:
-                up[j] |= 1 << i
-                down[i] |= 1 << j
-    return up, down
+    return up
 
 
 def _poset_plan(poset: Poset) -> _Plan:
@@ -316,8 +302,9 @@ def _poset_plan(poset: Poset) -> _Plan:
 def contains_poset_copy(fam: Family, poset: Poset) -> PosetCopy | None:
     """Search for a weak copy of the poset inside the family; None if absent."""
     members = fam.members
-    up, down = _containment_rows(members)
-    assign = _embed(_poset_plan(poset), len(members), (up.__getitem__, down.__getitem__))
+    # an unforced search reads only rows[0], the sets above
+    up = _superset_rows(members)
+    assign = _embed(_poset_plan(poset), len(members), (up.__getitem__,))
     if assign is None:
         return None
     return PosetCopy({e: members[i] for e, i in assign.items()})
@@ -550,7 +537,6 @@ def poset_copy_to_graph_copy(
 
     kneser = induced_kneser(host)
     witness = GraphWitness({v: kneser.index_of(image[v]) for v in range(graph.vertex_count)})
-    for u, v in graph.edges:
-        if not kneser.is_edge(witness.mapping[u], witness.mapping[v]):
-            raise ValueError("converted map misses a pattern edge")  # unreachable by construction
+    if not check_witness(kneser, graph, witness):
+        raise ValueError("converted map misses a pattern edge")  # unreachable by construction
     return witness

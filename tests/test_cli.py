@@ -58,6 +58,10 @@ class TestExitCodes:
             ("eposet", "--poset", "nonsense", "--nmax", "4"),
             ("la", "--n", "3", "--poset", "bad.poset"),
             ("vex", "--n", "3", "--pattern", "bad.pattern"),
+            # constructions larger than the freeness check takes, refused unbuilt
+            ("vex", "--n", "30", "--pattern", "M2"),
+            ("vex", "--n", "30", "--pattern", "C5", "--bounds"),
+            ("verify", "--construction", "star", "--n", "22"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):

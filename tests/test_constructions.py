@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from knvex import constructions
 from knvex.constructions import (
     NamedConstruction,
     bip_lower,
@@ -16,7 +17,7 @@ from knvex.constructions import (
 )
 from knvex.freeness import induced_kneser, is_free
 from knvex.patterns import make_pattern, parse_pattern
-from knvex.sets import Family, binom_tail, level_slice, mask_of
+from knvex.sets import Family, binom_tail, level_slice, mask_of, upset
 
 from oracles import disjointness_edges
 
@@ -126,6 +127,30 @@ class TestE2TwoLevel:
         for n in (4, 5, 6, 7):
             assert is_free(e2_two_level(n), parse_pattern("C4"))
 
+    def test_core_is_the_documented_base(self):
+        for n in range(3, 13):
+            half = n // 2
+            if n % 2:
+                base = [m for m in range(1 << n) if m.bit_count() in (half, half + 1)]
+                closure = [m for m in range(1 << n) if m.bit_count() >= half]
+            else:
+                base = [
+                    m
+                    for m in range(1 << n)
+                    if m.bit_count() in ((half - 1, half) if m & 1 else (half, half + 1))
+                ]
+                closure = [
+                    m for m in range(1 << n) if m.bit_count() >= (half - 1 if m & 1 else half)
+                ]
+            assert e2_core(n) == Family.of(n, base)
+            assert e2_two_level(n) == upset(e2_core(n)) == Family.of(n, closure)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_core_and_upset_need_n_at_least_3(self, n):
+        for generator in (e2_core, e2_two_level):
+            with pytest.raises(ValueError):
+                generator(n)
+
     def test_vertices_outside_core_are_isolated(self):
         for n in (4, 5, 6, 7):
             fam = e2_two_level(n)
@@ -186,6 +211,30 @@ class TestNamedConstructions:
     def test_parameter_errors_name_the_parameter(self, name, params, named):
         with pytest.raises(ValueError, match=named):
             build_construction(name, 6, **params)
+
+    def test_large_n_is_refused_before_any_generator_runs(self, monkeypatch):
+        # every construction has at least 2^(n-1) sets, more than the freeness
+        # check takes from n = 22 on
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        for generator in (
+            "star_family",
+            "matching_extremal",
+            "bip_lower",
+            "threshold_family",
+            "clique_threshold_family",
+            "e2_two_level",
+        ):
+            monkeypatch.setattr(constructions, generator, refuse)
+        for name, params, _ in self.CASES:
+            with pytest.raises(Built):
+                build_construction(name, 21, **params)
+            with pytest.raises(ValueError, match="2\\^21 sets"):
+                build_construction(name, 22, **params)
 
     def test_star_defaults_to_element_1(self):
         assert build_construction("star", 5).params == {"x": 1}

@@ -5,7 +5,7 @@ import pytest
 
 from knvex import posets, search
 from knvex.constructions import star_family
-from knvex.freeness import _Plan, check_witness, induced_kneser
+from knvex.freeness import _embed, _Plan, check_witness, induced_kneser
 from knvex.patterns import Bipartition, bipartition, make_pattern
 from knvex.posets import (
     CollisionError,
@@ -34,7 +34,7 @@ from knvex.posets import (
 )
 from knvex.sets import Family, complement, family_complement, level_slice, mask_of
 
-from oracles import automorphism_orbit_minima, poset_copy_exists
+from oracles import automorphism_orbit_minima, hasse_is_tree, poset_copy_exists
 
 NAMED_POSETS = {
     "chain2": chain(2),
@@ -161,6 +161,28 @@ class TestTreePoset:
         assert is_tree_poset(chain(3))
         assert not is_tree_poset(antichain(2))
 
+    def test_agrees_with_oracle_on_random_posets(self):
+        # butterfly plus an isolated fifth element: 4 covers on 5 elements,
+        # the count of a tree, but two components
+        split = Poset.from_relations(5, butterfly().covers)
+        assert len(split.covers) == 4
+        assert not is_tree_poset(split) and not hasse_is_tree(split)
+        rng = random.Random(41)
+        verdicts = []
+        for _ in range(300):
+            size = rng.randint(1, 6)
+            perm = rng.sample(range(size), size)
+            pairs = [
+                (perm[p], perm[q])
+                for p in range(size)
+                for q in range(p + 1, size)
+                if rng.random() < 0.35
+            ]
+            poset = Poset.from_relations(size, pairs)
+            verdicts.append(hasse_is_tree(poset))
+            assert is_tree_poset(poset) == verdicts[-1]
+        assert True in verdicts and False in verdicts
+
 
 class TestContainsPosetCopy:
     def test_v_copy(self):
@@ -202,6 +224,27 @@ class TestContainsPosetCopy:
             for poset in posets:
                 got = contains_poset_copy(fam, poset)
                 assert (got is not None) == poset_copy_exists(masks, poset)
+
+    def test_unforced_search_reads_only_the_superset_rows(self):
+        # a static search passes the superset rows alone, so a search that
+        # read the subset rows would fail here
+        def below(i):
+            raise AssertionError("an unforced search read rows[1]")
+
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            masks = rng.sample(range(1 << n), rng.randint(0, min(8, 1 << n)))
+            fam = Family.of(n, masks)
+            members = fam.members
+            up = [
+                sum(1 << j for j, b in enumerate(members) if a != b and a & b == a)
+                for a in members
+            ]
+            assert posets._superset_rows(members) == up
+            for poset in NAMED_POSETS.values():
+                got = _embed(posets._poset_plan(poset), len(members), (up.__getitem__, below))
+                assert (got is not None) == poset_copy_exists(members, poset)
 
     def test_plan_rejects_an_order_with_a_later_element_below(self):
         # the search checks only "above" along the route, so an element placed
