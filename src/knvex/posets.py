@@ -456,11 +456,11 @@ def e_of_poset(poset: Poset, n_max: int) -> LevelCertification:
 
     def find_copy(k: int):
         for n in range(1, n_max + 1):
-            for j in range(0, n - k + 1):
-                fam = level_slice(n, j + 1, j + k)
+            for j in range(0, n - k + 2):  # the window of levels j..j+k-1
+                fam = level_slice(n, j, j + k - 1)
                 copy = contains_poset_copy(fam, poset)
                 if copy is not None:
-                    return copy, n, j + 1
+                    return copy, n, j
         return None
 
     k = 1

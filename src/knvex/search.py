@@ -14,6 +14,29 @@ undecided count is at most cap - chosen_g.  La passes symmetric chain
 decompositions with cap |P| - 1 (Lubell's chain argument).  One seed, the
 largest family the caller certified free, is the first incumbent.
 
+Orbital pruning.  Relabelling [n] keeps disjointness and inclusion.  When
+the oracle's verdict and the ground are invariant under it (the caller
+asserts the first with relabel_invariant=True; the search checks that the
+ground is a union of whole levels), so is the problem.  Along a search path
+let C be the chosen sets.  The permutations fixing every set of C form the
+Young subgroup of the Venn atoms of C, and Y lies in the orbit of X iff
+|Y & a| = |X & a| for every atom a (in symmetric mode the group acts on
+complement pairs).  When a unit X takes its exclude branch, every undecided
+unit of its orbit is banned for the rest of that subtree: it skips its
+include branch and leaves the count + remaining bound.  Nothing is lost.
+Order the families by the visit order, include before exclude, and let F be
+the first free family of size s.  Suppose a ban in the exclude branch of X
+removes a unit Y of F from F's path, where C is F's units before X.  A
+permutation fixing C maps Y to X and F to a free family of size s in the
+ground that holds C and X: it holds a unit before X that F lacks, or agrees
+with F before X and holds X, so it comes before F, a contradiction.  So no
+ban touches the first family of any size, and no bound below its size
+prunes it.  Hence at every node the incumbent is at least the plain
+search's while the bounds are no larger: the orbital search visits a
+subsequence of the plain search's nodes and returns the same value, witness
+and exactness; under a node budget its value is at least as large.  Once
+every atom is a singleton the group is trivial and no orbit work is done.
+
 For matchings the complement-pair argument closes the search outright: a
 family doubling k+1 complement pairs spans k+1 disjoint edges, so at most
 k pairs may be doubled, and the doubling construction meets that cap.
@@ -25,9 +48,12 @@ and free, so vex(n, G) <= 2^(n-1) + vex_sym(n, G)/2: vex_exact's stop value.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, product
+from math import comb
 
 from . import constructions, freeness, posets
 from .cycle import cycle_upper_bound
@@ -66,6 +92,7 @@ def max_family_avoiding(
     deadline: float | None = None,
     partitions: tuple[int, Sequence[Sequence[object]]] | None = None,
     stop: int | None = None,
+    relabel_invariant: bool = False,
 ) -> tuple[int, Family, bool, int]:
     """Largest subset of the ground family that keeps the oracle satisfied.
 
@@ -83,6 +110,12 @@ def max_family_avoiding(
     search ends, exact, once the incumbent reaches it (with 0 nodes when the
     seed does).  The incumbent changes only on strict improvement, so the
     witness is the one the full search would return.
+
+    relabel_invariant=True asserts that the oracle's verdict is unchanged
+    when [n] is relabelled; where the ground is a union of whole levels the
+    search then bans symmetric copies of excluded sets (see the module
+    docstring), with the same results in no more nodes.  Otherwise the flag
+    does nothing.
 
     Returns (value, witness, exact, nodes); with an exhausted budget the
     value is a certified lower bound.
@@ -121,17 +154,28 @@ def max_family_avoiding(
         return best, Family.of(n, best_masks), True, 0
 
     unit_bounds, limits, used = _partition_bounds(units, partitions)
+    # Venn atoms of the chosen sets; n singletons (the trivial group) turn
+    # orbital pruning off.  unit_of and orbits serve _orbit_units.
+    if relabel_invariant and _whole_levels(ground):
+        atoms: tuple[int, ...] = ((1 << n) - 1,)
+        unit_of = {m: j for j, unit in enumerate(units) for m in unit}
+    else:
+        atoms = tuple(1 << b for b in range(n))
+        unit_of = {}
+    orbits: dict[tuple, int] = {}
     nodes = 0
     halted = exhausted = False
     chosen: list[int] = []
     # Explicit stack instead of recursion: the tree is one level per unit,
     # 2^n deep, and visits nodes in the order the recursion did (include
-    # branch first).  A frame is (i, count, None, limits) on entry to a node,
-    # or (i, count, unit, limits) once its include branch is done and unit
-    # must be undone; limits are the node's partition bounds.
-    stack: list[tuple] = [(0, 0, None, limits)]
+    # branch first).  A frame is (i, count, None, limits, atoms, banned, lost)
+    # on entry to a node, or (i, count, unit, ...) once its include branch is
+    # done and unit must be undone; limits are the node's partition bounds,
+    # banned the bitmask of banned units and lost the sets they hold from
+    # unit i on.
+    stack: list[tuple] = [(0, 0, None, limits, atoms, 0, 0)]
     while stack:
-        i, count, undo, limits = stack.pop()
+        i, count, undo, limits, atoms, banned, lost = stack.pop()
         if undo is not None:
             del chosen[len(chosen) - len(undo):]
             for _ in undo:
@@ -155,32 +199,68 @@ def max_family_avoiding(
                     continue
             if i == len(units):
                 continue
-            if count + capacity[i] <= best or (limits and min(limits) <= best):
+            if count + capacity[i] - lost <= best or (limits and min(limits) <= best):
                 continue
             unit = units[i]
-            for m in unit:
-                checker.push(m)
-            if checker.currently_free():
-                chosen.extend(unit)
-                for _, slot, _ in unit_bounds[i]:
-                    used[slot] += 1
-                stack.append((i, count, unit, limits))
-                stack.append((i + 1, count + len(unit), None, limits))
-                continue
-            for _ in unit:
-                checker.pop()
+            if banned >> i & 1:
+                lost -= len(unit)
+            else:
+                for m in unit:
+                    checker.push(m)
+                if checker.currently_free():
+                    chosen.extend(unit)
+                    for _, slot, _ in unit_bounds[i]:
+                        used[slot] += 1
+                    stack.append((i, count, unit, limits, atoms, banned, lost))
+                    if len(atoms) < n:
+                        m = unit[0]
+                        atoms = tuple(sorted(p for a in atoms for p in (a & m, a & ~m) if p))
+                    stack.append((i + 1, count + len(unit), None, limits, atoms, banned, lost))
+                    continue
+                for _ in unit:
+                    checker.pop()
         # the exclude branch of node i
+        if len(atoms) < n and not banned >> i & 1:
+            key = (atoms, i)
+            orbit = orbits.get(key)
+            if orbit is None:
+                orbit = orbits[key] = _orbit_units(atoms, units[i][0], unit_of)
+            # the orbit's other units all come later and none is banned yet:
+            # an earlier or banned one would have banned unit i with it
+            new = orbit ^ (1 << i)
+            if new:
+                banned |= new
+                lost += new.bit_count() * len(units[i])
         if unit_bounds[i]:
             limits = list(limits)
             for p, slot, threshold in unit_bounds[i]:
                 if used[slot] <= threshold:
                     limits[p] -= 1
-        stack.append((i + 1, count, None, limits))
+        stack.append((i + 1, count, None, limits, atoms, banned, lost))
     return best, Family.of(n, best_masks), not exhausted, nodes
 
 
 # Searches with a deadline look at the clock once every 1024 nodes.
 _CHECK_EVERY = 1023
+
+
+def _whole_levels(ground: Family) -> bool:
+    """Whether the ground holds every set of each level it meets."""
+    sizes = Counter(m.bit_count() for m in ground.members)
+    return all(count == comb(ground.n, k) for k, count in sizes.items())
+
+
+def _orbit_units(atoms: tuple[int, ...], mask: int, unit_of: dict[int, int]) -> int:
+    """Bitmask of the units holding a set Y with |Y & a| = |mask & a| for
+    every atom a: mask's orbit under the permutations fixing every atom."""
+    choices = []
+    for a in atoms:
+        bits = [1 << b for b in range(a.bit_length()) if a >> b & 1]
+        choices.append([sum(c) for c in combinations(bits, (mask & a).bit_count())])
+    orbit = 0
+    for parts in product(*choices):
+        orbit |= 1 << unit_of[sum(parts)]
+    return orbit
 
 
 def _partition_bounds(units, partitions):
@@ -288,7 +368,9 @@ def vex_exact(
     and the main search gets the whole budget.  The timeout bounds the
     searches only: the construction seed is certified before them without
     looking at the clock, which takes seconds at n >= 12, so a run can last
-    longer than its timeout.
+    longer than its timeout.  Both searches prune by orbits
+    (relabel_invariant): relabelling [n] keeps disjointness, so it keeps the
+    pattern checker's verdict.
     """
     validate_ground(n)
     if max_nodes is not None and max_nodes < 0:
@@ -317,6 +399,7 @@ def vex_exact(
             symmetric=True,
             max_nodes=max_nodes // 2 if max_nodes is not None else None,
             deadline=now + (deadline - now) / 2 if deadline is not None else None,
+            relabel_invariant=True,
         )
         if core_exact:
             core_value = core
@@ -328,6 +411,7 @@ def vex_exact(
         max_nodes=max_nodes - core_nodes if max_nodes is not None else None,
         deadline=deadline,
         stop=stop,
+        relabel_invariant=True,
     )
     # the seed was certified before the search; only a found witness is re-checked
     if witness != seed:
@@ -345,9 +429,9 @@ def vex_exact(
 
 # Ground sizes where vex_exact runs the core search.  At n <= 3 it costs more
 # than it saves: the full search of C5 at n = 3 visits 16 nodes, the core and
-# stopped searches 8 + 9 (at n = 4: 671 against 136 + 17).  At n >= 7 no core
+# stopped searches 8 + 9 (at n = 4: 338 against 62 + 17).  At n >= 7 no core
 # search has finished in a usable budget: S3, the smallest measured core search
-# at n = 6 (186,305 nodes), was still open after 3,000,000 nodes at n = 7, and
+# at n = 6 (6,941 nodes), was still open after 3,000,000 nodes at n = 7, and
 # an unfinished core search gives no stop value, so its nodes would be lost.
 _CORE_SEARCH_NS = range(4, 7)
 

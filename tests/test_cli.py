@@ -92,9 +92,9 @@ class TestReports:
     @pytest.mark.parametrize(
         "pattern, value, stats",
         [
-            ("C5", 24, {"nodes": 33, "core_nodes": 6700, "core_value": 16}),
-            ("K2,3", 26, {"nodes": 0, "core_nodes": 3147, "core_value": 20}),
-            ("K4", 28, {"nodes": 33, "core_nodes": 2507, "core_value": 24}),
+            ("C5", 24, {"nodes": 33, "core_nodes": 1196, "core_value": 16}),
+            ("K2,3", 26, {"nodes": 0, "core_nodes": 792, "core_value": 20}),
+            ("K4", 28, {"nodes": 33, "core_nodes": 1104, "core_value": 24}),
         ],
     )
     def test_exact_n5_runs_stop_at_the_core_bound(self, capsys, pattern, value, stats):

@@ -497,6 +497,13 @@ class TestEOfPoset:
     def test_chain(self):
         assert e_of_poset(chain(2), 6).value == 1
 
+    def test_windows_at_level_0_are_checked(self):
+        # levels 0..1 of 2^[2] are {}, {1}, {2}: a V, which no window of [1] holds
+        cert = e_of_poset(v_poset(), 2)
+        assert cert.value == 1
+        assert (cert.certificate_n, cert.certificate_lowest_level) == (2, 0)
+        assert sorted(cert.certificate.mapping.values()) == [0b00, 0b01, 0b10]
+
     def test_antichain_breaks_inside_one_level(self):
         assert e_of_poset(antichain(3), 6).value == 0
 

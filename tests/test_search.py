@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from knvex.search import (
     vex_bounds,
     vex_exact,
 )
-from knvex.sets import level_slice
+from knvex.sets import Family, level_slice
 
 from oracles import max_family_size, subgraph_copy_exists
 
@@ -111,8 +112,22 @@ class TestComplementCore:
         assert (res.core_value, res.core_nodes) == (None, 0)
         assert res.upper_bound_source != "search:complement-core"
 
+    # core nodes of vex_exact's core search, which prunes by orbits
+    CORE_NODES = {
+        ("C5", 4): 62,
+        ("K2,3", 4): 55,
+        ("K4", 4): 37,
+        ("S3", 4): 32,
+        ("C4", 4): 53,
+        ("C5", 5): 1196,
+        ("K2,3", 5): 792,
+        ("K4", 5): 1104,
+        ("S3", 5): 167,
+        ("C4", 5): 748,
+    }
+
     @pytest.mark.parametrize(
-        "name, n, value, core_value, nodes, core_nodes",
+        "name, n, value, core_value, nodes, plain_core_nodes",
         [
             ("C5", 4, 12, 8, 17, 136),
             ("K2,3", 4, 13, 10, 17, 100),
@@ -126,13 +141,21 @@ class TestComplementCore:
             ("C4", 5, 26, 20, 0, 2980),
         ],
     )
-    def test_frozen_values_at_the_core_bound(self, name, n, value, core_value, nodes, core_nodes):
-        res = vex_exact(n, pattern_of(name))
+    def test_frozen_values_at_the_core_bound(
+        self, name, n, value, core_value, nodes, plain_core_nodes
+    ):
+        pattern = pattern_of(name)
+        res = vex_exact(n, pattern)
         assert res.exact
         assert res.upper_bound_source == "search:complement-core"
         assert (res.value, res.core_value) == (value, core_value)
-        assert (res.nodes, res.core_nodes) == (nodes, core_nodes)
+        assert (res.nodes, res.core_nodes) == (nodes, self.CORE_NODES[name, n])
         assert res.value == _core_upper_bound(n, core_value)
+        # the plain core search, as la runs its searches, keeps its node count
+        plain = max_family_avoiding(
+            level_slice(n, 0, n), incremental_checker(pattern, n), symmetric=True
+        )
+        assert (plain[0], plain[3]) == (core_value, plain_core_nodes)
 
     @pytest.mark.parametrize("name", SMALL_PATTERNS)
     def test_witness_is_the_full_search_witness(self, name):
@@ -166,9 +189,9 @@ class TestComplementCore:
         monkeypatch.setattr(search, "max_family_avoiding", recording)
         monkeypatch.setattr(search, "time", clock)
         res = vex_exact(4, parse_pattern("C5"), max_nodes=1001, timeout=10.0)
-        assert res.exact and res.core_nodes == 136
+        assert res.exact and res.core_nodes == 62
         # the core search: half the nodes, half the 6 s left; the main search: the rest
-        assert budgets == [(500, 107.0), (1001 - 136, 110.0)]
+        assert budgets == [(500, 107.0), (1001 - 62, 110.0)]
 
     def test_a_seed_meeting_stop_takes_no_nodes(self):
         checker = incremental_checker(parse_pattern("C5"), 4)
@@ -181,9 +204,131 @@ class TestComplementCore:
         res = vex_exact(6, parse_pattern("S3"), max_nodes=400_000)
         # vex_sym = 20, so the upper bound 32 + 10 is the bip_lower seed's size
         assert res.exact
-        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (42, 20, 0, 186_305)
+        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (42, 20, 0, 6_941)
         assert res.lower_bound_source == "construction:bip_lower"
         assert res.upper_bound_source == "search:complement-core"
+
+    def test_budgeted_c4_closes_at_n6(self):
+        res = vex_exact(6, parse_pattern("C4"), max_nodes=400_000)
+        # vex_sym = 30, so the upper bound 32 + 15 is the e2_two_level seed's size
+        assert res.exact
+        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (47, 30, 0, 178_314)
+        assert res.lower_bound_source == "construction:e2_two_level"
+        assert res.upper_bound_source == "search:complement-core"
+
+
+def random_pattern(rng: random.Random) -> PatternGraph:
+    count = rng.randint(2, 5)
+    pairs = list(combinations(range(count), 2))
+    return PatternGraph.make(count, rng.sample(pairs, rng.randint(1, len(pairs))))
+
+
+def relabelled(fam: Family, perm: list[int]) -> Family:
+    """The image of the family when element i + 1 of [n] becomes perm[i] + 1."""
+    return Family.of(fam.n, (sum(1 << perm[b] for b in range(fam.n) if m >> b & 1) for m in fam))
+
+
+def both_searches(ground: Family, pattern: PatternGraph, **kwargs) -> tuple:
+    """(plain, orbital) results of max_family_avoiding, each with a fresh checker."""
+    return tuple(
+        max_family_avoiding(
+            ground, incremental_checker(pattern, ground.n), relabel_invariant=flag, **kwargs
+        )
+        for flag in (False, True)
+    )
+
+
+def assert_same_search(plain: tuple, orbital: tuple) -> None:
+    assert orbital[:3] == plain[:3]
+    assert orbital[3] <= plain[3]
+
+
+class TestOrbitalPruning:
+    @pytest.mark.parametrize("name", SMALL_PATTERNS + ["C4"])
+    def test_same_results_in_no_more_nodes(self, name):
+        pattern = pattern_of(name)
+        for n in range(1, 6):
+            ground = level_slice(n, 0, n)
+            assert_same_search(*both_searches(ground, pattern, symmetric=True))
+            if n <= 4:
+                assert_same_search(*both_searches(ground, pattern))
+
+    def test_random_patterns(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            pattern = random_pattern(rng)
+            n = rng.randint(1, 5)
+            ground = level_slice(n, 0, n)
+            assert_same_search(*both_searches(ground, pattern, symmetric=True))
+            if n <= 4:
+                assert_same_search(*both_searches(ground, pattern))
+
+    def test_whole_levels_are_enough(self):
+        # levels 1 and 3 only: still invariant under every relabelling of [n]
+        ground = Family.of(5, [m for m in range(32) if m.bit_count() in (1, 3)])
+        for name in SMALL_PATTERNS:
+            plain, orbital = both_searches(ground, pattern_of(name))
+            assert_same_search(plain, orbital)
+
+    @pytest.mark.parametrize("name", SMALL_PATTERNS + ["C4"])
+    def test_vex_exact_matches_the_plain_searches(self, monkeypatch, name):
+        # the seeded core and stopped main searches of vex_exact, with and without orbits
+        real = search.max_family_avoiding
+        pattern = pattern_of(name)
+        for n in (4, 5):
+            monkeypatch.setattr(
+                search,
+                "max_family_avoiding",
+                lambda *a, **k: real(*a, **{**k, "relabel_invariant": False}),
+            )
+            plain = vex_exact(n, pattern)
+            monkeypatch.setattr(search, "max_family_avoiding", real)
+            orbital = vex_exact(n, pattern)
+            assert (orbital.value, orbital.witness, orbital.exact, orbital.core_value) == (
+                plain.value,
+                plain.witness,
+                plain.exact,
+                plain.core_value,
+            )
+            assert orbital.upper_bound_source == plain.upper_bound_source
+            assert orbital.lower_bound_source == plain.lower_bound_source
+            assert orbital.nodes <= plain.nodes and orbital.core_nodes <= plain.core_nodes
+
+    @pytest.mark.parametrize("name", ["C5", "K2,3", "S3", "K4"])
+    def test_a_budget_never_lowers_the_value(self, name):
+        pattern = pattern_of(name)
+        for n, symmetric in ((5, False), (6, False), (6, True)):
+            ground = level_slice(n, 0, n)
+            for max_nodes in (5, 100, 1500):
+                plain, orbital = both_searches(
+                    ground, pattern, symmetric=symmetric, max_nodes=max_nodes
+                )
+                assert orbital[0] >= plain[0]
+                assert is_free(orbital[1], pattern)
+
+    def test_the_checker_verdict_is_relabel_invariant(self):
+        # the premise of the pruning, checked rather than assumed
+        rng = random.Random(5)
+        for _ in range(150):
+            pattern = random_pattern(rng)
+            n = rng.randint(2, 5)
+            fam = Family.of(n, rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1))))
+            perm = rng.sample(range(n), n)
+            verdicts = []
+            for members in (fam.members, relabelled(fam, perm).members):
+                checker = incremental_checker(pattern, n)
+                for m in members:
+                    checker.push(m)
+                verdicts.append(checker.currently_free())
+            assert verdicts[0] == verdicts[1] == is_free(fam, pattern)
+
+    def test_a_ground_of_partial_levels_runs_the_plain_search(self):
+        rng = random.Random(3)
+        for name in SMALL_PATTERNS:
+            dropped = rng.randrange(1, 15)
+            ground = Family.of(4, [m for m in range(16) if m != dropped])
+            plain, orbital = both_searches(ground, pattern_of(name))
+            assert orbital == plain
 
 
 class TestSeedWork:
