@@ -38,10 +38,7 @@ from .posets import (
     complete_three_level,
     contains_poset_copy,
     crown,
-    dual,
     e_of_poset,
-    extract_sym_band,
-    height,
     is_tree_poset,
     la,
     poset_copy_to_graph_copy,
@@ -72,6 +69,6 @@ from .cycle import (
     shift_image,
     weight,
 )
-from .search import VexBounds, VexResult, max_family_avoiding, vex_bounds, vex_exact
+from .search import VexResult, max_family_avoiding, vex_bounds, vex_exact
 
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@
 Reports are JSON (tables are CSV) and deterministic given the parameters and
 seed, so runs are directly comparable.  Exit code 0 means every verification
 in the run passed, 1 that a result is not certified (a search stopped by its
-budget, or a failed check), and 2 that the input was rejected: a usage error,
-or an input error reported as one "knvex: error: ..." line on stderr.
+budget, or a failed check), 2 that the input was rejected: a usage error,
+or an input error reported as one "knvex: error: ..." line on stderr, and
+141 (128 + SIGPIPE, as a shell reports a command killed by that signal) that
+the reader closed stdout before the output was written.
 """
 
 from __future__ import annotations
@@ -61,26 +63,24 @@ def _cmd_vex(args) -> tuple[RunReport, int]:
     pattern = _load(args.pattern, parse_pattern, pattern_from_text)
     params = {"n": args.n, "pattern": args.pattern, "mode": "bounds" if args.bounds else "exact"}
     if args.bounds:
-        b = vex_bounds(args.n, pattern)
+        res = vex_bounds(args.n, pattern)
         results = {
-            "lower": b.lower,
-            "lower_source": b.lower_source,
-            "upper": b.upper,
-            "upper_source": b.upper_source,
-            "witness": _family_json(b.lower_witness),
-            "exact": b.upper == b.lower,
+            "lower": res.value,
+            "lower_source": res.lower_bound_source,
+            "upper": res.upper,
+            "upper_source": res.upper_bound_source,
         }
-        return RunReport("vex", params, results), 0
-    res = vex_exact(args.n, pattern, max_nodes=args.budget, timeout=args.timeout)
-    results = {
-        "value": res.value,
-        "exact": res.exact,
-        "lower_bound_source": res.lower_bound_source,
-        "upper_bound_source": res.upper_bound_source,
-        "witness": _family_json(res.witness),
-        "stats": {"nodes": res.nodes, "core_nodes": res.core_nodes, "core_value": res.core_value},
-    }
-    return RunReport("vex", params, results), 0 if res.exact else 1
+    else:
+        res = vex_exact(args.n, pattern, max_nodes=args.budget, timeout=args.timeout)
+        stats = {"nodes": res.nodes, "core_nodes": res.core_nodes, "core_value": res.core_value}
+        results = {
+            "value": res.value,
+            "lower_bound_source": res.lower_bound_source,
+            "upper_bound_source": res.upper_bound_source,
+            "stats": stats,
+        }
+    results.update(witness=_family_json(res.witness), exact=res.exact)
+    return RunReport("vex", params, results), 0 if res.exact or args.bounds else 1
 
 
 def _cmd_table(args) -> tuple[RunReport | None, int]:
@@ -94,10 +94,9 @@ def _cmd_table(args) -> tuple[RunReport | None, int]:
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "lower", "upper", "exact"])
     for n in range(lo, hi + 1):
-        b = vex_bounds(n, pattern)
-        upper = "" if b.upper is None else b.upper
-        exact = b.lower if b.upper == b.lower else ""
-        writer.writerow([n, b.lower, upper, exact])
+        res = vex_bounds(n, pattern)
+        upper = "" if res.upper is None else res.upper
+        writer.writerow([n, res.value, upper, res.value if res.exact else ""])
     return None, 0
 
 
@@ -229,14 +228,23 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        report, code = args.func(args)
-    except (ValueError, OSError) as exc:
-        # rejected input: unknown names, out-of-range sizes, missing budgets, unreadable files
-        print(f"knvex: error: {exc}", file=sys.stderr)
-        return 2
-    if report is not None:
-        report.elapsed_ms = int((time.monotonic() - start) * 1000)
-        print(report.to_json())
+        try:
+            report, code = args.func(args)
+        except BrokenPipeError:
+            raise  # a closed stdout, not an input error
+        except (ValueError, OSError) as exc:
+            # rejected input: unknown names, out-of-range sizes, missing budgets, unreadable files
+            print(f"knvex: error: {exc}", file=sys.stderr)
+            return 2
+        if report is not None:
+            report.elapsed_ms = int((time.monotonic() - start) * 1000)
+            print(report.to_json())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as `| head` does); point stdout at devnull
+        # so that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

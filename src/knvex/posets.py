@@ -14,8 +14,7 @@ obstruct pattern copies in the Kneser cube.  This module owns
   * La(n, *) exact maximization at desk scale via the shared search engine,
   * bounded certification of e(P), the number of consecutive Boolean-cube
     levels that stay P-free,
-  * the symmetric band extraction and the poset-copy -> graph-copy witness
-    conversion.
+  * the poset-copy -> graph-copy witness conversion.
 """
 
 from __future__ import annotations
@@ -137,23 +136,6 @@ class Poset:
             remaining.remove(v)
             placed |= 1 << v
         return tuple(order)
-
-
-def dual(poset: Poset) -> Poset:
-    """Same elements with the order reversed; an involution."""
-    return Poset(poset.size, poset.below)
-
-
-def height(poset: Poset) -> int:
-    """Size of the longest chain."""
-    depth = [1] * poset.size
-    for v in poset.linear_extension:
-        rest = poset.below[v]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            depth[v] = max(depth[v], depth[low.bit_length() - 1] + 1)
-    return max(depth)
 
 
 def is_tree_poset(poset: Poset) -> bool:
@@ -471,27 +453,6 @@ def e_of_poset(poset: Poset, n_max: int) -> LevelCertification:
             return LevelCertification(k - 1, copy, n, lowest)
         k += 1
     return LevelCertification(n_max, None, None, None)
-
-
-def extract_sym_band(fam: Family) -> Family:
-    """Complement-closed core restricted to levels within n^(2/3) of n/2.
-
-    Band limits are computed with exact integer cube comparisons, never
-    floating point.  At small n the band covers every level.
-    """
-    n = fam.n
-    lo = 0
-    while not (n - 2 * lo) ** 3 <= 8 * n * n:  # lo >= n/2 - n^(2/3)
-        lo += 1
-    hi = n
-    while not (2 * hi - n) ** 3 <= 8 * n * n:  # hi <= n/2 + n^(2/3)
-        hi -= 1
-    keep = []
-    for mask in fam:
-        size = mask.bit_count()
-        if lo <= size <= hi and complement(mask, n) in fam:
-            keep.append(mask)
-    return Family.of(n, keep)
 
 
 def poset_copy_to_graph_copy(

@@ -63,23 +63,21 @@ from .sets import Family, complement, family_complement, level_slice, validate_g
 
 @dataclass(frozen=True)
 class VexResult:
+    """Bounds on vex(n, G): value is the size of witness, a family certified
+    G-free, and upper a proved bound or None.  The counts are vex_exact's."""
+
     value: int
     witness: Family
-    exact: bool
     lower_bound_source: str
-    upper_bound_source: str | None
-    nodes: int
-    core_value: int | None
-    core_nodes: int
-
-
-@dataclass(frozen=True)
-class VexBounds:
-    lower: int
-    lower_witness: Family
-    lower_source: str
     upper: int | None
-    upper_source: str | None
+    upper_bound_source: str | None
+    nodes: int = 0
+    core_value: int | None = None
+    core_nodes: int = 0
+
+    @property
+    def exact(self) -> bool:
+        return self.upper == self.value
 
 
 def max_family_avoiding(
@@ -326,24 +324,45 @@ def _two_levels_free(pattern: PatternGraph) -> bool:
     return posets.e_of_poset(posets.poset_from_bipartite(pattern), 6).value >= 2
 
 
-def _structural_value(n: int, pattern: PatternGraph) -> tuple[int, Family, str, str] | None:
-    """(value, witness, lower source, upper source) for edgeless patterns and
-    matchings, which resolve at any ground size; None for other patterns."""
+def _structural_value(n: int, pattern: PatternGraph) -> VexResult | None:
+    """The exact answer for edgeless patterns and matchings at any n, else None."""
     if pattern.edge_count == 0:
         value = min(1 << n, pattern.vertex_count - 1)
-        return value, Family.of(n, range(value)), "trivial:edgeless", "trivial:edgeless"
+        edgeless = "trivial:edgeless"
+        return VexResult(value, Family.of(n, range(value)), edgeless, value, edgeless)
 
     if not all(d == 1 for d in pattern.degrees):
         return None
     k = pattern.edge_count - 1
-    half = 1 << (n - 1)
-    if k >= half:
+    if k >= 1 << (n - 1):
         # the cube's maximum matching is 2^(n-1), too small for the pattern
-        return 1 << n, level_slice(n, 0, n), "whole-cube", "complement-pair-bound"
-    nc = constructions.build_construction("matching_extremal", n, k=k)
-    if not freeness.is_free(nc.family, pattern):
-        raise AssertionError("doubling construction failed its freeness certificate")
-    return nc.claimed_size, nc.family, f"construction:{nc.name}", "complement-pair-bound"
+        witness, source = level_slice(n, 0, n), "whole-cube"
+    else:
+        nc = constructions.build_construction("matching_extremal", n, k=k)
+        if not freeness.is_free(nc.family, pattern):
+            raise AssertionError("doubling construction failed its freeness certificate")
+        witness, source = nc.family, f"construction:{nc.name}"
+    return VexResult(len(witness), witness, source, len(witness), "complement-pair-bound")
+
+
+def vex_bounds(n: int, pattern: PatternGraph) -> VexResult:
+    """Best construction-backed lower bound and formula upper bound available.
+
+    Matchings are exact; odd cycles get the binomial-tail upper bound; other
+    patterns carry only the lower bound (their upper bounds are asymptotic).
+    """
+    validate_ground(n)
+    structural = _structural_value(n, pattern)
+    if structural is not None:
+        return structural
+
+    witness, source = _lower_bound(n, pattern)
+    upper = upper_source = None
+    # odd cycles: 2-regular, with the shortest odd cycle through every vertex
+    if all(d == 2 for d in pattern.degrees) and odd_girth(pattern) == pattern.vertex_count:
+        upper = cycle_upper_bound(n, (pattern.vertex_count - 1) // 2)
+        upper_source = "formula:cycle-tail"
+    return VexResult(len(witness), witness, source, upper, upper_source)
 
 
 def vex_exact(
@@ -355,8 +374,11 @@ def vex_exact(
 ) -> VexResult:
     """Most Kneser-cube vertices spanning a pattern-free subgraph, with witness.
 
-    Edgeless patterns and matchings resolve structurally at any ground size.
-    Otherwise branch and bound handles n <= 5; larger n requires an explicit
+    The answer of vex_bounds is returned when it is exact: edgeless patterns
+    and matchings resolve structurally at any ground size.  Otherwise its
+    witness seeds the searches, and a run that does not close has upper None.
+
+    Branch and bound handles n <= 5; larger n requires an explicit
     budget and may come back non-exact (the value then certifies a lower
     bound).  For n in _CORE_SEARCH_NS two searches run: the complement-core
     search for vex_sym (core_value, None if it did not finish; core_nodes),
@@ -377,18 +399,18 @@ def vex_exact(
         raise ValueError(f"node budget must be >= 0, got {max_nodes}")
     if timeout is not None and not timeout >= 0:  # also rejects NaN
         raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
-    shortcut = _structural_value(n, pattern)
-    if shortcut is not None:
-        value, witness, lower_source, upper_source = shortcut
-        return VexResult(value, witness, True, lower_source, upper_source, 0, None, 0)
-
-    if n > 5 and max_nodes is None and timeout is None:
+    # checked before vex_bounds builds a seed; edgeless patterns and matchings need no search
+    structural = pattern.edge_count == 0 or all(d == 1 for d in pattern.degrees)
+    if n > 5 and max_nodes is None and timeout is None and not structural:
         raise ValueError("n > 5 needs an explicit budget (max_nodes or timeout)")
     deadline = time.monotonic() + timeout if timeout is not None else None
-    seed, source = _lower_bound(n, pattern)
+    bounds = vex_bounds(n, pattern)
+    if bounds.exact:
+        return bounds
+
+    seed, source = bounds.witness, bounds.lower_bound_source
     ground = level_slice(n, 0, n)
     checker = freeness.incremental_checker(pattern, n)
-
     core_value = stop = None
     core_nodes = 0
     if n in _CORE_SEARCH_NS:
@@ -418,13 +440,12 @@ def vex_exact(
         if not freeness.is_free(witness, pattern):
             raise AssertionError("search produced a witness that fails re-verification")
         source = "search:branch-and-bound"
-    if value == stop:
-        upper_source = "search:complement-core"
-    elif exact:
-        upper_source = "search:branch-and-bound"
+    if not exact:
+        upper = upper_source = None
     else:
-        upper_source = None
-    return VexResult(value, witness, exact, source, upper_source, nodes, core_value, core_nodes)
+        upper = value
+        upper_source = "search:complement-core" if value == stop else "search:branch-and-bound"
+    return VexResult(value, witness, source, upper, upper_source, nodes, core_value, core_nodes)
 
 
 # Ground sizes where vex_exact runs the core search.  At n <= 3 it costs more
@@ -440,30 +461,3 @@ def _core_upper_bound(n: int, core: int) -> int:
     """2^(n-1) + core/2 bounds vex(n, G) when core = vex_sym(n, G); see the
     module docstring."""
     return (1 << (n - 1)) + core // 2
-
-
-def vex_bounds(n: int, pattern: PatternGraph) -> VexBounds:
-    """Best construction-backed lower bound and formula upper bound available.
-
-    Matchings are exact; odd cycles get the binomial-tail upper bound; other
-    patterns carry only the lower bound (their upper bounds are asymptotic).
-    """
-    validate_ground(n)
-    shortcut = _structural_value(n, pattern)
-    if shortcut is not None:
-        value, witness, lower_source, upper_source = shortcut
-        return VexBounds(value, witness, lower_source, value, upper_source)
-
-    lower_fam, lower_source = _lower_bound(n, pattern)
-
-    upper = upper_source = None
-    girth = odd_girth(pattern)
-    if (
-        girth is not None
-        and pattern.vertex_count == girth
-        and all(d == 2 for d in pattern.degrees)
-    ):
-        k = (girth - 1) // 2
-        upper = cycle_upper_bound(n, k)
-        upper_source = "formula:cycle-tail"
-    return VexBounds(len(lower_fam), lower_fam, lower_source, upper, upper_source)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import knvex
 from knvex.cli import main
 
 
@@ -139,3 +143,27 @@ class TestReports:
         lines = out.splitlines()
         assert lines[0] == "n,lower,upper,exact"
         assert [line.split(",")[0] for line in lines[1:]] == ["3", "4", "5"]
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [("vex", "--n", "4", "--pattern", "C5"), ("table", "--pattern", "K2,3", "--n", "3..6")],
+    )
+    def test_exits_141_without_a_traceback(self, argv):
+        # a pipe whose reader is gone before the command writes, as after `| head`
+        read, write = os.pipe()
+        os.close(read)
+        src = os.path.dirname(os.path.dirname(knvex.__file__))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knvex.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 141
+        assert proc.stderr == b""

@@ -4,9 +4,8 @@ from itertools import permutations
 import pytest
 
 from knvex import posets, search
-from knvex.constructions import star_family
 from knvex.freeness import _embed, _Plan, check_witness, induced_kneser
-from knvex.patterns import Bipartition, bipartition, make_pattern
+from knvex.patterns import Bipartition, bipartition, make_pattern, parse_pattern
 from knvex.posets import (
     CollisionError,
     IncrementalPosetChecker,
@@ -18,10 +17,7 @@ from knvex.posets import (
     complete_three_level,
     contains_poset_copy,
     crown,
-    dual,
     e_of_poset,
-    extract_sym_band,
-    height,
     is_tree_poset,
     la,
     lambda_poset,
@@ -95,9 +91,8 @@ class TestPosetFromBipartite:
     def test_star_with_center_side(self):
         s3 = make_pattern("star", 3)
         p = poset_from_bipartite(s3)  # canonical side_a = {center}
-        assert height(p) == 2
         # one top above three bottoms
-        assert p.below[0].bit_count() == 3
+        assert [p.below[v].bit_count() for v in range(p.size)] == [3, 0, 0, 0]
 
     def test_c6_both_orientations_agree(self):
         c6 = make_pattern("cycle", 6)
@@ -115,18 +110,6 @@ class TestPosetFromBipartite:
             poset_from_bipartite(make_pattern("cycle", 4), frozenset({0, 1}))
 
 
-class TestDual:
-    def test_v_and_lambda(self):
-        assert isomorphic(dual(v_poset()), lambda_poset())
-        assert dual(dual(v_poset())) == v_poset()
-
-    def test_chain_self_dual(self):
-        assert isomorphic(dual(chain(2)), chain(2))
-
-    def test_butterfly_self_dual(self):
-        assert isomorphic(dual(butterfly()), butterfly())
-
-
 class TestCompleteThreeLevel:
     def test_one_one_is_chain(self):
         assert isomorphic(complete_three_level(1, 1), chain(3))
@@ -137,21 +120,16 @@ class TestCompleteThreeLevel:
     def test_two_two_shape(self):
         p = complete_three_level(2, 2)
         assert p.size == 5
-        assert height(p) == 3
+        # the middle element sits above both bottoms and below both tops
+        assert (p.below[2], p.above[2]) == (0b00011, 0b11000)
 
 
 class TestHeight:
-    def test_examples(self):
-        assert height(butterfly()) == 2
-        assert height(complete_three_level(2, 3)) == 3
-        assert height(antichain(4)) == 1
-
     def test_bipartite_posets_have_height_2(self):
+        # no chain of three: every element is minimal or maximal
         for name in ("M2", "S3", "C4", "C6", "K2,3"):
-            from knvex.patterns import parse_pattern
-
             p = poset_from_bipartite(parse_pattern(name))
-            assert height(p) == 2
+            assert all(p.above[v] == 0 or p.below[v] == 0 for v in range(p.size))
 
 
 class TestTreePoset:
@@ -514,27 +492,6 @@ class TestEOfPoset:
                 lo = (n - e + 1) // 2
                 middle = level_slice(n, lo, min(n, lo + e - 1))
                 assert la(n, [poset]).value >= len(middle)
-
-
-class TestExtractSymBand:
-    def test_whole_cube_passes_through(self):
-        fam = level_slice(4, 0, 4)
-        assert extract_sym_band(fam) == fam
-
-    def test_star_has_no_complement_pairs(self):
-        assert len(extract_sym_band(star_family(4, 1))) == 0
-
-    def test_output_complement_closed(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            fam = Family.of(6, {m for m in range(64) if rng.random() < 0.35})
-            band = extract_sym_band(fam)
-            assert family_complement(band) == band
-            assert band.member_set <= fam.member_set
-
-    def test_band_tightens_at_larger_n(self):
-        fam = extract_sym_band(Family.of(30, [0, (1 << 30) - 1]))
-        assert len(fam) == 0  # levels 0 and 30 sit outside the middle band
 
 
 class TestPosetCopyToGraphCopy:

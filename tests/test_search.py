@@ -71,7 +71,7 @@ class TestVexExact:
         pattern = parse_pattern("C5")
         res = vex_exact(10, pattern, max_nodes=2000)
         assert not res.exact
-        assert res.upper_bound_source is None
+        assert (res.upper, res.upper_bound_source) == (None, None)
         # no core search at n = 10: the main search gets the whole budget
         assert res.value == 772
         assert (res.core_value, res.core_nodes, res.nodes) == (None, 0, 2000)
@@ -79,8 +79,10 @@ class TestVexExact:
         assert is_free(res.witness, pattern)
 
     def test_n6_needs_a_budget(self):
-        with pytest.raises(ValueError):
-            vex_exact(6, parse_pattern("C5"))
+        # a matching plus an isolated vertex is not resolved structurally
+        for pattern in (parse_pattern("C5"), PatternGraph.make(5, [(0, 1), (2, 3)])):
+            with pytest.raises(ValueError):
+                vex_exact(6, pattern)
 
 
 class TestComplementCore:
@@ -172,7 +174,7 @@ class TestComplementCore:
         # one core node finds only the empty core, whose bound 16 the star seed meets
         res = vex_exact(5, parse_pattern("C5"), max_nodes=2)
         assert not res.exact
-        assert res.upper_bound_source is None
+        assert (res.upper, res.upper_bound_source) == (None, None)
         assert (res.core_value, res.core_nodes, res.nodes) == (None, 1, 1)
 
     def test_budgets_split_between_the_searches(self, monkeypatch):
@@ -449,7 +451,7 @@ class TestShortcuts:
             assert res.value == plain_search(n, pattern)
             assert res.lower_bound_source == "trivial:edgeless"
             assert res.nodes == 0
-            assert vex_bounds(n, pattern).lower == vex_bounds(n, pattern).upper == res.value
+            assert vex_bounds(n, pattern).value == vex_bounds(n, pattern).upper == res.value
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matching_matches_search(self, k):
@@ -460,7 +462,18 @@ class TestShortcuts:
             assert res.value == plain_search(n, pattern)
             assert is_free(res.witness, pattern)
             bounds = vex_bounds(n, pattern)
-            assert bounds.lower == bounds.upper == res.value
+            assert bounds.value == bounds.upper == res.value
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [make_pattern("matching", k) for k in (1, 2, 3)]
+        + [PatternGraph.make(count, []) for count in (1, 3, 6)],
+    )
+    def test_no_budget_at_larger_n(self, pattern):
+        for n in (6, 7, 8):
+            res = vex_exact(n, pattern)
+            assert res.exact and res.nodes == 0
+            assert res == vex_bounds(n, pattern)
 
 
 class TestVexBounds:
@@ -470,12 +483,25 @@ class TestVexBounds:
         for n in (2, 3, 4):
             bounds = vex_bounds(n, pattern)
             exact = vex_exact(n, pattern).value
-            assert bounds.lower <= exact
-            assert len(bounds.lower_witness) == bounds.lower
-            assert is_free(bounds.lower_witness, pattern)
+            assert bounds.value <= exact
+            assert len(bounds.witness) == bounds.value
+            assert is_free(bounds.witness, pattern)
             if bounds.upper is not None:
                 assert exact <= bounds.upper
 
     def test_odd_cycles_get_an_upper_bound(self):
         for name in ("K3", "C5"):
-            assert vex_bounds(6, parse_pattern(name)).upper_source == "formula:cycle-tail"
+            assert vex_bounds(6, parse_pattern(name)).upper_bound_source == "formula:cycle-tail"
+
+    @pytest.mark.parametrize("name", SMALL_PATTERNS)
+    def test_seeds_the_searches_of_vex_exact(self, name):
+        # with no nodes to spend, vex_exact returns the vex_bounds witness
+        pattern = pattern_of(name)
+        for n in range(1, 7):
+            bounds = vex_bounds(n, pattern)
+            res = vex_exact(n, pattern, max_nodes=0)
+            assert (res.value, res.witness, res.lower_bound_source) == (
+                bounds.value,
+                bounds.witness,
+                bounds.lower_bound_source,
+            )
