@@ -15,7 +15,6 @@ from .patterns import (
     Bipartition,
     PatternGraph,
     bipartition,
-    components,
     is_matching,
     make_pattern,
     odd_girth,
@@ -39,7 +38,6 @@ from .posets import (
     contains_poset_copy,
     crown,
     e_of_poset,
-    is_tree_poset,
     la,
     poset_copy_to_graph_copy,
     poset_from_bipartite,

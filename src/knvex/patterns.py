@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 MAX_PATTERN_VERTICES = 16
 
@@ -74,27 +74,27 @@ def make_pattern(kind: str, *params: int) -> PatternGraph:
         (k,) = params
         if k < 1:
             raise ValueError("matching needs at least 1 edge")
-        return PatternGraph.make(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+        return PatternGraph.make(2 * k, ((2 * i, 2 * i + 1) for i in range(k)))
     if kind == "star":
         (t,) = params
         if t < 1:
             raise ValueError("star needs at least 1 leaf")
-        return PatternGraph.make(t + 1, [(0, i) for i in range(1, t + 1)])
+        return PatternGraph.make(t + 1, ((0, i) for i in range(1, t + 1)))
     if kind == "cycle":
         (length,) = params
         if length < 3:
             raise ValueError("cycle length must be at least 3")
-        return PatternGraph.make(length, [(i, (i + 1) % length) for i in range(length)])
+        return PatternGraph.make(length, ((i, (i + 1) % length) for i in range(length)))
     if kind == "clique":
         (r,) = params
         if r < 1:
             raise ValueError("clique size must be at least 1")
-        return PatternGraph.make(r, [(i, j) for i in range(r) for j in range(i + 1, r)])
+        return PatternGraph.make(r, ((i, j) for i in range(r) for j in range(i + 1, r)))
     if kind == "complete_bipartite":
         s, t = params
         if s < 1 or t < 1:
             raise ValueError("complete bipartite sides must be nonempty")
-        return PatternGraph.make(s + t, [(i, s + j) for i in range(s) for j in range(t)])
+        return PatternGraph.make(s + t, ((i, s + j) for i in range(s) for j in range(t)))
     raise ValueError(f"unknown pattern kind {kind!r}")
 
 
@@ -142,6 +142,7 @@ def bipartition(graph: PatternGraph) -> Bipartition | None:
     return Bipartition(frozenset(side_a), frozenset(side_b))
 
 
+@lru_cache(maxsize=None)
 def odd_girth(graph: PatternGraph) -> int | None:
     """Length of the shortest odd cycle; None when the graph is bipartite.
 
@@ -169,30 +170,6 @@ def odd_girth(graph: PatternGraph) -> int | None:
 def is_matching(graph: PatternGraph) -> bool:
     """True when the maximum degree is at most 1."""
     return all(d <= 1 for d in graph.degrees)
-
-
-def components(graph: PatternGraph) -> list[tuple[PatternGraph, tuple[int, ...]]]:
-    """Connected components, each relabeled 0.. with its original labels kept."""
-    seen = [False] * graph.vertex_count
-    out = []
-    for start in range(graph.vertex_count):
-        if seen[start]:
-            continue
-        seen[start] = True
-        verts = [start]
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    verts.append(u)
-                    queue.append(u)
-        verts.sort()
-        relabel = {v: i for i, v in enumerate(verts)}
-        edges = [(relabel[u], relabel[v]) for u, v in graph.edges if u in relabel]
-        out.append((PatternGraph.make(len(verts), edges), tuple(verts)))
-    return out
 
 
 def pattern_to_text(graph: PatternGraph) -> str:

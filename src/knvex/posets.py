@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .freeness import GraphWitness, _CheckerBase, _embed, _Plan, check_witness, induced_kneser
-from .patterns import Bipartition, PatternGraph, bipartition, components, make_pattern
+from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
 from .sets import (
     Family,
     complement,
@@ -34,6 +34,11 @@ from .sets import (
 )
 
 MAX_POSET_SIZE = 16
+
+
+def _check_size(size: int) -> None:
+    if not 1 <= size <= MAX_POSET_SIZE:
+        raise ValueError(f"poset size must be 1..{MAX_POSET_SIZE}")
 
 
 class CollisionError(ValueError):
@@ -48,8 +53,7 @@ class Poset:
     above: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.size <= MAX_POSET_SIZE:
-            raise ValueError(f"poset size must be 1..{MAX_POSET_SIZE}")
+        _check_size(self.size)
         if len(self.above) != self.size:
             raise ValueError("relation rows do not match size")
         for p, row in enumerate(self.above):
@@ -70,6 +74,7 @@ class Poset:
     @classmethod
     def from_relations(cls, size: int, pairs) -> "Poset":
         """Build from (p, q) pairs meaning p < q; transitive closure applied."""
+        _check_size(size)  # before a row is built
         above = [0] * size
         for p, q in pairs:
             if not (0 <= p < size and 0 <= q < size):
@@ -138,15 +143,6 @@ class Poset:
         return tuple(order)
 
 
-def is_tree_poset(poset: Poset) -> bool:
-    """Whether the Hasse diagram is a tree as an undirected graph: size - 1
-    covers joining every element into one component."""
-    covers = poset.covers
-    if len(covers) != poset.size - 1:
-        return False
-    return len(components(PatternGraph.make(poset.size, covers))) == 1
-
-
 def poset_from_bipartite(graph: PatternGraph, side_a: frozenset[int] | None = None) -> Poset:
     """Height-2 poset on V(G): b < a for every edge with a on side A.
 
@@ -186,7 +182,7 @@ def complete_three_level(s: int, t: int) -> Poset:
 
 
 def chain(length: int) -> Poset:
-    return Poset.from_relations(length, [(i, i + 1) for i in range(length - 1)])
+    return Poset.from_relations(length, ((i, i + 1) for i in range(length - 1)))
 
 
 def antichain(size: int) -> Poset:
@@ -389,7 +385,6 @@ def la(
         raise ValueError(f"node budget must be >= 0, got {max_nodes}")
     from .search import max_family_avoiding  # deferred: search imports this module
 
-    ground = level_slice(n, 0, n)
     seed = None
     for width in (2, 1):  # widest first: the width-2 window holds the width-1 one
         window = level_slice(n, (n - width + 1) // 2, (n + width - 1) // 2)
@@ -402,7 +397,6 @@ def la(
     cap = checker.chain_cap
     partitions = (cap, _rotated_chain_partitions(n)) if cap is not None else None
     value, witness, exact, nodes = max_family_avoiding(
-        ground,
         checker,
         symmetric=symmetric,
         seed=seed,

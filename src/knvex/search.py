@@ -2,22 +2,21 @@
 
 The engine maximizes a family subject to any monotone incremental oracle
 (push/pop/currently_free); graph-pattern avoidance and poset avoidance both
-fit.  Ground elements are processed middle levels first (level distance from
-n/2, ties by mask), include-branch first.  A node is pruned when a bound on
-the families below it is no larger than the incumbent.  The base bound is
-current + remaining.  A caller may also pass partitions of the ground with a
-cap, such that no feasible family holds more than cap sets of one group.
-Each partition p then gives the bound limit_p = current + the sum over its
-groups g of min(undecided_g, cap - chosen_g).  Including a set leaves
-limit_p unchanged; excluding one lowers it by one exactly when its group's
-undecided count is at most cap - chosen_g.  La passes symmetric chain
-decompositions with cap |P| - 1 (Lubell's chain argument).  One seed, the
-largest family the caller certified free, is the first incumbent.
+fit.  The sets of 2^[n] are processed middle levels first (level distance
+from n/2, ties by mask), include-branch first.  A node is pruned when a
+bound on the families below it is no larger than the incumbent.  The base
+bound is current + remaining.  A caller may also pass partitions of 2^[n]
+with a cap, such that no feasible family holds more than cap sets of one
+group.  Each partition p then gives the bound limit_p = current + the sum
+over its groups g of min(undecided_g, cap - chosen_g).  Including a set
+leaves limit_p unchanged; excluding one lowers it by one exactly when its
+group's undecided count is at most cap - chosen_g.  La passes symmetric
+chain decompositions with cap |P| - 1 (Lubell's chain argument).  One seed,
+the largest family the caller certified free, is the first incumbent.
 
 Orbital pruning.  Relabelling [n] keeps disjointness and inclusion.  When
-the oracle's verdict and the ground are invariant under it (the caller
-asserts the first with relabel_invariant=True; the search checks that the
-ground is a union of whole levels), so is the problem.  Along a search path
+the oracle's verdict is invariant under it (the caller asserts so with
+relabel_invariant=True), so is the problem over 2^[n].  Along a search path
 let C be the chosen sets.  The permutations fixing every set of C form the
 Young subgroup of the Venn atoms of C, and Y lies in the orbit of X iff
 |Y & a| = |X & a| for every atom a (in symmetric mode the group acts on
@@ -27,9 +26,9 @@ include branch and leaves the count + remaining bound.  Nothing is lost.
 Order the families by the visit order, include before exclude, and let F be
 the first free family of size s.  Suppose a ban in the exclude branch of X
 removes a unit Y of F from F's path, where C is F's units before X.  A
-permutation fixing C maps Y to X and F to a free family of size s in the
-ground that holds C and X: it holds a unit before X that F lacks, or agrees
-with F before X and holds X, so it comes before F, a contradiction.  So no
+permutation fixing C maps Y to X and F to a free family of size s that
+holds C and X: it holds a unit before X that F lacks, or agrees with F
+before X and holds X, so it comes before F, a contradiction.  So no
 ban touches the first family of any size, and no bound below its size
 prunes it.  Hence at every node the incumbent is at least the plain
 search's while the bounds are no larger: the orbital search visits a
@@ -48,17 +47,15 @@ and free, so vex(n, G) <= 2^(n-1) + vex_sym(n, G)/2: vex_exact's stop value.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
 
 from . import constructions, freeness, posets
 from .cycle import cycle_upper_bound
-from .patterns import PatternGraph, bipartition, is_matching, odd_girth
-from .sets import Family, complement, family_complement, level_slice, validate_ground
+from .patterns import PatternGraph, is_matching, odd_girth
+from .sets import Family, family_complement, level_slice, validate_ground
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class VexResult:
 
 
 def max_family_avoiding(
-    ground: Family,
     checker,
     *,
     symmetric: bool = False,
@@ -92,16 +88,16 @@ def max_family_avoiding(
     stop: int | None = None,
     relabel_invariant: bool = False,
 ) -> tuple[int, Family, bool, int]:
-    """Largest subset of the ground family that keeps the oracle satisfied.
+    """Largest family in 2^[n], n = checker.n, that keeps the oracle satisfied.
 
     The oracle must be monotone: pushing more sets never clears a violation.
     In symmetric mode complement pairs are branched jointly (both or
     neither), so the result is complement-closed.  A seed is a family the
     caller has certified free: the first incumbent, never pushed.  It must
-    lie in the ground, complement-closed in symmetric mode (else ValueError).
+    be a family on n, complement-closed in symmetric mode (else ValueError).
 
-    partitions is None or a pair (cap, maps): each map sends every ground
-    set (indexed by mask) to a group, and no feasible family holds more
+    partitions is None or a pair (cap, maps): each map sends every set of
+    2^[n] (indexed by mask) to a group, and no feasible family holds more
     than cap sets of one group; see the module docstring.
 
     stop is None or an upper bound the caller has proved on the value: the
@@ -110,28 +106,19 @@ def max_family_avoiding(
     witness is the one the full search would return.
 
     relabel_invariant=True asserts that the oracle's verdict is unchanged
-    when [n] is relabelled; where the ground is a union of whole levels the
-    search then bans symmetric copies of excluded sets (see the module
-    docstring), with the same results in no more nodes.  Otherwise the flag
-    does nothing.
+    when [n] is relabelled; the search then bans symmetric copies of
+    excluded sets (see the module docstring), with the same results in no
+    more nodes.
 
     Returns (value, witness, exact, nodes); with an exhausted budget the
     value is a certified lower bound.
     """
-    n = ground.n
-    ordered = sorted(ground.members, key=lambda m: (abs(2 * m.bit_count() - n), m))
+    n = checker.n
+    full = (1 << n) - 1
+    ordered = sorted(range(full + 1), key=lambda m: (abs(2 * m.bit_count() - n), m))
     if symmetric:
-        units = []
-        seen = set()
-        for m in ordered:
-            if m in seen:
-                continue
-            partner = complement(m, n)
-            if partner not in ground.member_set:
-                raise ValueError("symmetric mode needs a complement-closed ground family")
-            seen.add(m)
-            seen.add(partner)
-            units.append((m, partner) if m != partner else (m,))
+        # complements share a level distance: each pair sits where its smaller set did
+        units = [(m, full ^ m) for m in ordered if m < full ^ m]
     else:
         units = [(m,) for m in ordered]
 
@@ -142,8 +129,8 @@ def max_family_avoiding(
     best = 0
     best_masks: list[int] = []
     if seed is not None:
-        if seed.n != n or not seed.member_set <= ground.member_set:
-            raise ValueError("the seed family is not inside the ground family")
+        if seed.n != n:
+            raise ValueError(f"the seed family is on n={seed.n}, the search on n={n}")
         if symmetric and family_complement(seed) != seed:
             raise ValueError("symmetric mode needs a complement-closed seed family")
         best = len(seed)
@@ -154,8 +141,8 @@ def max_family_avoiding(
     unit_bounds, limits, used = _partition_bounds(units, partitions)
     # Venn atoms of the chosen sets; n singletons (the trivial group) turn
     # orbital pruning off.  unit_of and orbits serve _orbit_units.
-    if relabel_invariant and _whole_levels(ground):
-        atoms: tuple[int, ...] = ((1 << n) - 1,)
+    if relabel_invariant:
+        atoms: tuple[int, ...] = (full,)
         unit_of = {m: j for j, unit in enumerate(units) for m in unit}
     else:
         atoms = tuple(1 << b for b in range(n))
@@ -242,12 +229,6 @@ def max_family_avoiding(
 _CHECK_EVERY = 1023
 
 
-def _whole_levels(ground: Family) -> bool:
-    """Whether the ground holds every set of each level it meets."""
-    sizes = Counter(m.bit_count() for m in ground.members)
-    return all(count == comb(ground.n, k) for k, count in sizes.items())
-
-
 def _orbit_units(atoms: tuple[int, ...], mask: int, unit_of: dict[int, int]) -> int:
     """Bitmask of the units holding a set Y with |Y & a| = |mask & a| for
     every atom a: mask's orbit under the permutations fixing every atom."""
@@ -296,18 +277,18 @@ def _partition_bounds(units, partitions):
 
 
 def _lower_bound(n: int, pattern: PatternGraph) -> tuple[Family, str]:
-    """The first construction certified pattern-free, largest claimed size
-    first (a stable sort, so ties keep the order listed here), with its source."""
-    candidates: list[tuple[str, dict[str, int]]] = []
-    if pattern.edge_count >= 1:
-        candidates.append(("star", {}))
-    if bipartition(pattern) is not None:
+    """The first construction certified free of a pattern with edges, largest
+    claimed size first (a stable sort, so ties keep the order listed here),
+    with its source."""
+    candidates: list[tuple[str, dict[str, int]]] = [("star", {})]
+    girth = odd_girth(pattern)
+    if girth is None:  # bipartite
         if not is_matching(pattern) and n >= 2:
             candidates.append(("bip_lower", {}))
             if n >= 3 and _two_levels_free(pattern):
                 candidates.append(("e2_two_level", {}))
     else:
-        candidates.append(("threshold", {"k": (odd_girth(pattern) - 1) // 2}))
+        candidates.append(("threshold", {"k": (girth - 1) // 2}))
         r = pattern.vertex_count - 1
         if r >= 2 and pattern.edge_count == r * (r + 1) // 2:
             candidates.append(("clique_threshold", {"r": r}))
@@ -409,14 +390,12 @@ def vex_exact(
         return bounds
 
     seed, source = bounds.witness, bounds.lower_bound_source
-    ground = level_slice(n, 0, n)
     checker = freeness.incremental_checker(pattern, n)
     core_value = stop = None
     core_nodes = 0
     if n in _CORE_SEARCH_NS:
         now = time.monotonic()
         core, _, core_exact, core_nodes = max_family_avoiding(
-            ground,
             checker,
             symmetric=True,
             max_nodes=max_nodes // 2 if max_nodes is not None else None,
@@ -427,7 +406,6 @@ def vex_exact(
             core_value = core
             stop = _core_upper_bound(n, core)
     value, witness, exact, nodes = max_family_avoiding(
-        ground,
         checker,
         seed=seed,
         max_nodes=max_nodes - core_nodes if max_nodes is not None else None,

@@ -4,7 +4,6 @@ Everything here enumerates injections or families directly and never calls
 the library's search code, so agreement is meaningful.
 """
 
-from collections import deque
 from itertools import combinations, permutations
 
 
@@ -30,31 +29,6 @@ def poset_copy_exists(masks, poset) -> bool:
         if all(masks[image[p]] & masks[image[q]] == masks[image[p]] for p, q in relations):
             return True
     return False
-
-
-def hasse_is_tree(poset) -> bool:
-    """Whether the covers p < q (nothing strictly between, found by trying
-    every r) number size - 1 and reach every element by breadth-first search."""
-    size = poset.size
-    covers = [
-        (p, q)
-        for p in range(size)
-        for q in range(size)
-        if poset.less(p, q) and not any(poset.less(p, r) and poset.less(r, q) for r in range(size))
-    ]
-    if len(covers) != size - 1:
-        return False
-    neighbors = {v: set() for v in range(size)}
-    for p, q in covers:
-        neighbors[p].add(q)
-        neighbors[q].add(p)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for u in neighbors[queue.popleft()] - seen:
-            seen.add(u)
-            queue.append(u)
-    return len(seen) == size
 
 
 def automorphism_orbit_minima(size: int, relations) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -167,3 +168,40 @@ class TestClosedStdout:
             os.close(write)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+def cap_address_space():
+    """Run in the child before exec: at most 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+class TestOversizedInputs:
+    # each once built a huge pattern or poset before its size check; they run
+    # only under the cap, so a regression fails with MemoryError instead of
+    # exhausting the machine's memory
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("la", "--n", "3", "--poset", "chain1000000"),
+            ("la", "--n", "3", "--poset", "antichain1000000000"),
+            ("la", "--n", "3", "--poset", "huge.poset"),
+            ("vex", "--n", "3", "--pattern", "K100000"),
+            ("vex", "--n", "3", "--pattern", "M100000000"),
+        ],
+    )
+    def test_exit_2_with_one_line_before_building(self, tmp_path, argv):
+        (tmp_path / "huge.poset").write_text("e 1000000000\n")
+        src = os.path.dirname(os.path.dirname(knvex.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "knvex.cli", *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=cap_address_space,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("knvex: error: ")
+        assert proc.stderr.count("\n") == 1

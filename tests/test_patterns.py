@@ -6,7 +6,6 @@ import pytest
 from knvex.patterns import (
     PatternGraph,
     bipartition,
-    components,
     is_matching,
     make_pattern,
     odd_girth,
@@ -100,30 +99,6 @@ class TestIsMatching:
         assert is_matching(make_pattern("matching", 3))
         assert not is_matching(make_pattern("star", 2))
         assert is_matching(PatternGraph.make(1, []))
-
-
-class TestComponents:
-    def test_matching_splits(self):
-        comps = components(make_pattern("matching", 2))
-        assert len(comps) == 2
-        assert all(g.edge_count == 1 for g, _ in comps)
-        assert [labels for _, labels in comps] == [(0, 1), (2, 3)]
-
-    def test_cycle_is_connected(self):
-        comps = components(make_pattern("cycle", 4))
-        assert len(comps) == 1
-        assert comps[0][0] == make_pattern("cycle", 4)
-
-    def test_edgeless(self):
-        comps = components(PatternGraph.make(3, []))
-        assert len(comps) == 3
-
-    def test_partitions_vertices_and_edges(self):
-        g = PatternGraph.make(6, [(0, 1), (1, 2), (3, 4)])
-        comps = components(g)
-        all_labels = sorted(l for _, labels in comps for l in labels)
-        assert all_labels == list(range(6))
-        assert sum(sub.edge_count for sub, _ in comps) == g.edge_count
 
 
 class TestTextFormat:

@@ -18,7 +18,6 @@ from knvex.posets import (
     contains_poset_copy,
     crown,
     e_of_poset,
-    is_tree_poset,
     la,
     lambda_poset,
     named_poset,
@@ -30,7 +29,7 @@ from knvex.posets import (
 )
 from knvex.sets import Family, complement, family_complement, level_slice, mask_of
 
-from oracles import automorphism_orbit_minima, hasse_is_tree, poset_copy_exists
+from oracles import automorphism_orbit_minima, poset_copy_exists
 
 NAMED_POSETS = {
     "chain2": chain(2),
@@ -130,36 +129,6 @@ class TestHeight:
         for name in ("M2", "S3", "C4", "C6", "K2,3"):
             p = poset_from_bipartite(parse_pattern(name))
             assert all(p.above[v] == 0 or p.below[v] == 0 for v in range(p.size))
-
-
-class TestTreePoset:
-    def test_examples(self):
-        assert is_tree_poset(complete_three_level(2, 3))
-        assert not is_tree_poset(butterfly())
-        assert is_tree_poset(chain(3))
-        assert not is_tree_poset(antichain(2))
-
-    def test_agrees_with_oracle_on_random_posets(self):
-        # butterfly plus an isolated fifth element: 4 covers on 5 elements,
-        # the count of a tree, but two components
-        split = Poset.from_relations(5, butterfly().covers)
-        assert len(split.covers) == 4
-        assert not is_tree_poset(split) and not hasse_is_tree(split)
-        rng = random.Random(41)
-        verdicts = []
-        for _ in range(300):
-            size = rng.randint(1, 6)
-            perm = rng.sample(range(size), size)
-            pairs = [
-                (perm[p], perm[q])
-                for p in range(size)
-                for q in range(p + 1, size)
-                if rng.random() < 0.35
-            ]
-            poset = Poset.from_relations(size, pairs)
-            verdicts.append(hasse_is_tree(poset))
-            assert is_tree_poset(poset) == verdicts[-1]
-        assert True in verdicts and False in verdicts
 
 
 class TestContainsPosetCopy:
