@@ -21,18 +21,14 @@ from .patterns import (
     parse_pattern,
 )
 from .freeness import (
-    GraphWitness,
     InducedKneser,
     contains_subgraph,
-    incremental_checker,
-    induced_kneser,
     is_free,
 )
 from .posets import (
     CollisionError,
     LaResult,
     Poset,
-    PosetCopy,
     butterfly,
     complete_three_level,
     contains_poset_copy,

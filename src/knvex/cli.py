@@ -127,7 +127,7 @@ def _cmd_eposet(args) -> tuple[RunReport, int]:
             "lowest_level": cert.certificate_lowest_level,
             "mapping": {
                 str(e): ",".join(map(str, elements_of(m))) or "-"
-                for e, m in sorted(cert.certificate.mapping.items())
+                for e, m in sorted(cert.certificate.items())
             },
         }
     return RunReport("eposet", {"poset": args.poset, "nmax": args.nmax}, results), 0

@@ -7,6 +7,7 @@ sending every pattern edge to a disjoint pair.  Isolated pattern vertices
 still consume distinct host vertices.  A weak copy of a poset (posets.py) is
 the same kind of object: an injection sending every pattern relation to the
 same relation among host sets, proper inclusion instead of disjointness.
+Both searches return a copy as a dict, pattern vertex -> member mask.
 
 _embed searches for such an injection, given the pattern's relation rows
 and the host's: (adjacency,) for graphs, (above, below) for posets.  It
@@ -33,8 +34,6 @@ domains of that vertex's whole orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .patterns import PatternGraph
 from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask
 
@@ -51,15 +50,6 @@ class InducedKneser:
         self.n = vertices.n
         self._index = {m: i for i, m in enumerate(vertices.members)}
         self._rows: dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def index_of(self, mask: int) -> int:
-        return self._index[mask]
-
-    def is_edge(self, i: int, j: int) -> bool:
-        return kneser_adjacent(self.vertices.members[i], self.vertices.members[j])
 
     def neighbor_mask(self, i: int) -> int:
         """Bitset of family indices disjoint from member i."""
@@ -87,32 +77,14 @@ class InducedKneser:
         self._rows[i] = row
         return row
 
-    def degree(self, i: int) -> int:
-        return self.neighbor_mask(i).bit_count()
 
-    def max_degree(self) -> int:
-        return max((self.degree(i) for i in range(len(self))), default=0)
-
-
-def induced_kneser(fam: Family) -> InducedKneser:
-    return InducedKneser(fam)
-
-
-@dataclass(frozen=True)
-class GraphWitness:
-    """Injective map pattern vertex -> family index realizing every pattern edge."""
-
-    mapping: dict[int, int]
-
-
-def check_witness(host: InducedKneser, pattern: PatternGraph, witness: GraphWitness) -> bool:
-    """Soundness: injectivity plus adjacency of every mapped pattern edge."""
-    mapping = witness.mapping
-    if sorted(mapping) != list(range(pattern.vertex_count)):
+def check_witness(fam: Family, pattern: PatternGraph, copy: dict[int, int]) -> bool:
+    """Soundness of a copy: keys 0..v-1, distinct members of fam, a disjoint pair on every edge."""
+    if sorted(copy) != list(range(pattern.vertex_count)):
         return False
-    if len(set(mapping.values())) != pattern.vertex_count:
+    if len(set(copy.values())) != pattern.vertex_count or not all(m in fam for m in copy.values()):
         return False
-    return all(host.is_edge(mapping[u], mapping[v]) for u, v in pattern.edges)
+    return all(kneser_adjacent(copy[u], copy[v]) for u, v in pattern.edges)
 
 
 def _route(relations, order) -> tuple:
@@ -255,15 +227,16 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None):
     return None
 
 
-def contains_subgraph(host: InducedKneser, pattern: PatternGraph) -> GraphWitness | None:
-    """Exhaustive search for a subgraph copy of the pattern; None if absent."""
-    mapping = _embed(_graph_plan(pattern), len(host), (host.neighbor_mask,))
-    return GraphWitness(mapping) if mapping is not None else None
+def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
+    """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent."""
+    members = fam.members
+    assign = _embed(_graph_plan(pattern), len(members), (InducedKneser(fam).neighbor_mask,))
+    return None if assign is None else {v: members[i] for v, i in assign.items()}
 
 
 def is_free(fam: Family, pattern: PatternGraph) -> bool:
     """True when the subgraph induced by the family contains no copy of the pattern."""
-    return contains_subgraph(induced_kneser(fam), pattern) is None
+    return contains_subgraph(fam, pattern) is None
 
 
 class _CheckerBase:
@@ -356,7 +329,3 @@ class IncrementalChecker(_CheckerBase):
                 row |= 1 << j
                 rows[j] |= bit
         rows.append(row)
-
-
-def incremental_checker(pattern: PatternGraph, n: int) -> IncrementalChecker:
-    return IncrementalChecker(pattern, n)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freeness import GraphWitness, _CheckerBase, _embed, _Plan, check_witness, induced_kneser
+from .freeness import _CheckerBase, _embed, _Plan, check_witness
 from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
 from .sets import (
     Family,
@@ -250,13 +250,6 @@ def poset_from_text(text: str) -> Poset:
     return Poset.from_relations(size, pairs)
 
 
-@dataclass(frozen=True)
-class PosetCopy:
-    """Injective map poset element -> member mask with p < q turning into inclusion."""
-
-    mapping: dict[int, int]
-
-
 def _superset_rows(members: tuple[int, ...]) -> list[int]:
     """up[i]: indices of the proper supersets of member i.
 
@@ -277,15 +270,13 @@ def _poset_plan(poset: Poset) -> _Plan:
     return _Plan((poset.above, poset.below), poset.linear_extension)
 
 
-def contains_poset_copy(fam: Family, poset: Poset) -> PosetCopy | None:
-    """Search for a weak copy of the poset inside the family; None if absent."""
+def contains_poset_copy(fam: Family, poset: Poset) -> dict[int, int] | None:
+    """Search for a weak copy of the poset, element -> member mask; None if absent."""
     members = fam.members
     # an unforced search reads only rows[0], the sets above
     up = _superset_rows(members)
     assign = _embed(_poset_plan(poset), len(members), (up.__getitem__,))
-    if assign is None:
-        return None
-    return PosetCopy({e: members[i] for e, i in assign.items()})
+    return None if assign is None else {e: members[i] for e, i in assign.items()}
 
 
 class IncrementalPosetChecker(_CheckerBase):
@@ -419,7 +410,7 @@ class LevelCertification:
     """
 
     value: int
-    certificate: PosetCopy | None
+    certificate: dict[int, int] | None
     certificate_n: int | None
     certificate_lowest_level: int | None
 
@@ -450,11 +441,11 @@ def e_of_poset(poset: Poset, n_max: int) -> LevelCertification:
 
 
 def poset_copy_to_graph_copy(
-    copy: PosetCopy,
+    copy: dict[int, int],
     graph: PatternGraph,
     bip: Bipartition,
     host: Family,
-) -> GraphWitness:
+) -> dict[int, int]:
     """Turn a copy of the oriented poset of a bipartite pattern into a pattern copy.
 
     Side-B elements keep their sets, side-A elements go to the complements of
@@ -467,31 +458,25 @@ def poset_copy_to_graph_copy(
     if family_complement(host) != host:
         raise ValueError("host family is not complement-closed")
     poset = poset_from_bipartite(graph, bip.side_a)
-    mapping = copy.mapping
-    if sorted(mapping) != list(range(poset.size)):
+    if sorted(copy) != list(range(poset.size)):
         raise ValueError("copy does not cover the poset elements")
-    if len(set(mapping.values())) != poset.size:
+    if len(set(copy.values())) != poset.size:
         raise ValueError("copy is not injective")
+    if not all(m in host for m in copy.values()):
+        raise ValueError("copy uses a set outside the host")
     for p in range(poset.size):
         for q in range(poset.size):
-            if poset.less(p, q) and mapping[p] & mapping[q] != mapping[p]:
+            if poset.less(p, q) and copy[p] & copy[q] != copy[p]:
                 raise ValueError("copy does not preserve the order")
 
-    image: dict[int, int] = {}
-    for v in range(graph.vertex_count):
-        if v in bip.side_a:
-            image[v] = complement(mapping[v], n)
-        else:
-            image[v] = mapping[v]
+    image = {v: complement(m, n) if v in bip.side_a else m for v, m in sorted(copy.items())}
     for a in bip.side_a:
         for b in bip.side_b:
             if image[a] == image[b]:
                 raise CollisionError(
-                    f"set {mapping[b]:#x} and its complement straddle the two sides"
+                    f"set {copy[b]:#x} and its complement straddle the two sides"
                 )
 
-    kneser = induced_kneser(host)
-    witness = GraphWitness({v: kneser.index_of(image[v]) for v in range(graph.vertex_count)})
-    if not check_witness(kneser, graph, witness):
+    if not check_witness(host, graph, image):
         raise ValueError("converted map misses a pattern edge")  # unreachable by construction
-    return witness
+    return image

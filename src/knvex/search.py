@@ -390,7 +390,7 @@ def vex_exact(
         return bounds
 
     seed, source = bounds.witness, bounds.lower_bound_source
-    checker = freeness.incremental_checker(pattern, n)
+    checker = freeness.IncrementalChecker(pattern, n)
     core_value = stop = None
     core_nodes = 0
     if n in _CORE_SEARCH_NS:

@@ -138,6 +138,17 @@ class TestReports:
             reports.append(report)
         assert reports[0] == reports[1]
 
+    def test_eposet_certificate_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "eposet", "--poset", "butterfly", "--nmax", "5")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["e"] == 2
+        assert results["certificate"] == {
+            "n": 3,
+            "lowest_level": 0,
+            "mapping": {"0": "1,2", "1": "-", "2": "1,3", "3": "1"},
+        }
+
     def test_table_is_csv(self, capsys):
         code, out, _ = run(capsys, "table", "--pattern", "K3", "--n", "3..5")
         assert code == 0
@@ -168,6 +179,28 @@ class TestClosedStdout:
             os.close(write)
         assert proc.returncode == 141
         assert proc.stderr == b""
+
+
+class TestDependencies:
+    def test_cli_loads_only_the_standard_library(self):
+        # pyproject.toml declares no dependencies, so an installed third-party
+        # package that the CLI imported would break it for users
+        code = (
+            "import sys; before = set(sys.modules); import knvex.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+        )
+        src = os.path.dirname(os.path.dirname(knvex.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+            check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "knvex" in loaded
+        assert loaded - {"knvex"} <= set(sys.stdlib_module_names)
 
 
 def cap_address_space():

@@ -15,7 +15,7 @@ from knvex.constructions import (
     threshold_family,
     verify_construction,
 )
-from knvex.freeness import induced_kneser, is_free
+from knvex.freeness import InducedKneser, is_free
 from knvex.patterns import make_pattern, parse_pattern
 from knvex.sets import Family, binom_tail, level_slice, mask_of, upset
 
@@ -83,7 +83,7 @@ class TestBipLower:
 
     def test_max_degree_at_most_one(self):
         for n in range(4, 8):
-            assert induced_kneser(bip_lower(n)).max_degree() <= 1
+            assert is_free(bip_lower(n), parse_pattern("S2"))
 
 
 class TestThresholdFamily:
@@ -155,10 +155,10 @@ class TestE2TwoLevel:
         for n in (4, 5, 6, 7):
             fam = e2_two_level(n)
             core = e2_core(n).member_set
-            kneser = induced_kneser(fam)
+            kneser = InducedKneser(fam)
             for i, mask in enumerate(fam):
                 if mask not in core:
-                    assert kneser.degree(i) == 0
+                    assert kneser.neighbor_mask(i) == 0
 
 
 class TestNamedConstructions:

@@ -2,15 +2,16 @@ import random
 
 import pytest
 
+from knvex import freeness
 from knvex.constructions import star_family, threshold_family
 from knvex.freeness import (
+    IncrementalChecker,
+    InducedKneser,
     check_witness,
     contains_subgraph,
-    incremental_checker,
-    induced_kneser,
     is_free,
 )
-from knvex.patterns import PatternGraph, make_pattern, parse_pattern
+from knvex.patterns import PatternGraph, parse_pattern
 from knvex.sets import Family, level_slice, mask_of
 
 from oracles import automorphism_orbit_minima, disjointness_edges, subgraph_copy_exists
@@ -33,25 +34,26 @@ def F(n, *sets):
 
 class TestInducedKneser:
     def test_single_edge(self):
-        g = induced_kneser(F(2, [1], [2], [1, 2]))
+        g = InducedKneser(F(2, [1], [2], [1, 2]))
         assert disjointness_edges(g.vertices.members) == [(0, 1)]
-        assert g.is_edge(0, 1) and not g.is_edge(0, 2)
+        assert g.neighbor_mask(0) == 0b010
 
     def test_star_is_edgeless(self):
-        g = induced_kneser(star_family(3, 1))
-        assert g.max_degree() == 0
+        fam = star_family(3, 1)
+        g = InducedKneser(fam)
+        assert all(g.neighbor_mask(i) == 0 for i in range(len(fam)))
 
     def test_middle_level_is_perfect_matching(self):
         # frozen from the disjointness enumeration oracle: 3 complement pairs
         fam = level_slice(4, 2, 2)
         edges = disjointness_edges(fam.members)
         assert len(edges) == 3
-        g = induced_kneser(fam)
-        assert all(g.degree(i) == 1 for i in range(len(fam)))
+        g = InducedKneser(fam)
+        assert all(g.neighbor_mask(i).bit_count() == 1 for i in range(len(fam)))
 
     def test_neighbor_mask_agrees_with_oracle(self):
         fam = level_slice(5, 0, 5)
-        g = induced_kneser(fam)
+        g = InducedKneser(fam)
         edges = set(disjointness_edges(fam.members))
         for i in range(len(fam)):
             row = g.neighbor_mask(i)
@@ -62,31 +64,47 @@ class TestInducedKneser:
 
 class TestContainsSubgraph:
     def test_triangle_of_singletons(self):
-        host = induced_kneser(F(3, [1], [2], [3]))
-        w = contains_subgraph(host, NAMED["K3"])
+        fam = F(3, [1], [2], [3])
+        w = contains_subgraph(fam, NAMED["K3"])
         assert w is not None
-        assert check_witness(host, NAMED["K3"], w)
+        assert check_witness(fam, NAMED["K3"], w)
 
     def test_path_center_is_forced(self):
-        host = induced_kneser(F(4, [1], [2, 3], [1, 4]))
-        w = contains_subgraph(host, NAMED["P3"])
+        w = contains_subgraph(F(4, [1], [2, 3], [1, 4]), NAMED["P3"])
         assert w is not None
         # the only degree-2 vertex is {2,3}; star labeling has the center at 0
-        assert host.vertices.members[w.mapping[0]] == mask_of([2, 3], 4)
+        assert w[0] == mask_of([2, 3], 4)
 
     def test_intersecting_family_has_no_edge(self):
-        host = induced_kneser(star_family(4, 1))
-        assert contains_subgraph(host, NAMED["K2"]) is None
+        assert contains_subgraph(star_family(4, 1), NAMED["K2"]) is None
 
     def test_pattern_larger_than_host(self):
-        host = induced_kneser(F(3, [1], [2]))
-        assert contains_subgraph(host, NAMED["C5"]) is None
+        assert contains_subgraph(F(3, [1], [2]), NAMED["C5"]) is None
 
     def test_witnesses_are_deterministic(self):
         fam = level_slice(4, 1, 3)
-        a = contains_subgraph(induced_kneser(fam), NAMED["M2"])
-        b = contains_subgraph(induced_kneser(fam), NAMED["M2"])
+        a = contains_subgraph(fam, NAMED["M2"])
+        b = contains_subgraph(fam, NAMED["M2"])
         assert a == b
+
+
+class TestCheckWitness:
+    # {1}, {2}, {3} carry a triangle; each copy below breaks one condition
+    FAM = F(4, [1], [2], [3], [1, 2])
+
+    @pytest.mark.parametrize(
+        "copy",
+        [
+            {0: 0b0001, 1: 0b0010},  # vertex 2 is missing
+            {0: 0b0001, 1: 0b0010, 2: 0b0001},  # vertices 0 and 2 on one set
+            {0: 0b0001, 1: 0b0010, 2: 0b1000},  # {4} is not in the family
+            {0: 0b0001, 1: 0b0010, 2: 0b0011},  # the edge 0-2 on an intersecting pair
+        ],
+        ids=["missing-vertex", "shared-set", "outside-family", "intersecting-edge"],
+    )
+    def test_rejects(self, copy):
+        assert check_witness(self.FAM, NAMED["K3"], {0: 0b0001, 1: 0b0010, 2: 0b0100})
+        assert not check_witness(self.FAM, NAMED["K3"], copy)
 
 
 class TestIsFree:
@@ -109,12 +127,11 @@ class TestOracleAgreement:
         for bits in range(256):
             masks = [m for m in ground if bits >> m & 1]
             fam = Family.of(3, masks)
-            host = induced_kneser(fam)
             for name in ("M2", "K3"):
-                got = contains_subgraph(host, NAMED[name])
+                got = contains_subgraph(fam, NAMED[name])
                 assert (got is not None) == subgraph_copy_exists(masks, NAMED[name])
                 if got is not None:
-                    assert check_witness(host, NAMED[name], got)
+                    assert check_witness(fam, NAMED[name], got)
 
     def test_random_families_n4_all_patterns(self):
         rng = random.Random(11)
@@ -122,9 +139,8 @@ class TestOracleAgreement:
         for _ in range(40):
             masks = [m for m in range(16) if rng.random() < 0.4]
             fam = Family.of(4, masks)
-            host = induced_kneser(fam)
             for pattern in [*NAMED.values(), path4, parse_pattern("K2,3"), ASYMMETRIC]:
-                got = contains_subgraph(host, pattern)
+                got = contains_subgraph(fam, pattern)
                 assert (got is not None) == subgraph_copy_exists(masks, pattern)
 
 
@@ -151,7 +167,7 @@ class TestMonotonicity:
 
 class TestIncrementalChecker:
     def test_push_pop_example(self):
-        chk = incremental_checker(NAMED["K2"], 2)
+        chk = IncrementalChecker(NAMED["K2"], 2)
         chk.push(mask_of([1], 2))
         chk.push(mask_of([2], 2))
         assert not chk.currently_free()
@@ -159,7 +175,7 @@ class TestIncrementalChecker:
         assert chk.currently_free()
 
     def test_pop_empty_raises(self):
-        chk = incremental_checker(NAMED["K2"], 2)
+        chk = IncrementalChecker(NAMED["K2"], 2)
         with pytest.raises(IndexError):
             chk.pop()
 
@@ -167,7 +183,7 @@ class TestIncrementalChecker:
         rng = random.Random(3)
         relabelled_k23 = PatternGraph.make(5, [(u, v) for u in (1, 4) for v in (0, 2, 3)])
         for pattern in [*NAMED.values(), relabelled_k23, ASYMMETRIC]:
-            chk = incremental_checker(pattern, 4)
+            chk = IncrementalChecker(pattern, 4)
             stack = []
             for _ in range(120):
                 if stack and rng.random() < 0.4:
@@ -187,11 +203,11 @@ class TestOrbitRepresentatives:
     def test_named_patterns(self):
         cases = {"C5": (0,), "K4": (0,), "K2,3": (0, 2), "S3": (0, 1), "M2": (0,)}
         for name, reps in cases.items():
-            assert incremental_checker(parse_pattern(name), 3).orbit_reps == reps
+            assert IncrementalChecker(parse_pattern(name), 3).orbit_reps == reps
 
     def test_trivial_group_forces_every_vertex(self):
         # highest degree first, ties by label
-        assert incremental_checker(ASYMMETRIC, 3).orbit_reps == (2, 4, 1, 3, 0, 5)
+        assert IncrementalChecker(ASYMMETRIC, 3).orbit_reps == (2, 4, 1, 3, 0, 5)
 
     def test_agrees_with_brute_force_automorphisms(self):
         rng = random.Random(21)
@@ -201,10 +217,13 @@ class TestOrbitRepresentatives:
             pattern = PatternGraph.make(size, edges)
             arcs = [(u, v) for u, v in pattern.edges] + [(v, u) for u, v in pattern.edges]
             expected = automorphism_orbit_minima(size, arcs)
-            assert tuple(sorted(incremental_checker(pattern, 3).orbit_reps)) == expected
+            assert tuple(sorted(IncrementalChecker(pattern, 3).orbit_reps)) == expected
 
 
-def test_size_limit():
+def test_size_limit(monkeypatch):
     fam = level_slice(4, 0, 4)
-    kneser = induced_kneser(fam)
-    assert len(kneser) == 16
+    kneser = InducedKneser(fam)
+    assert len(kneser.vertices) == 16
+    monkeypatch.setattr(freeness, "MAX_VERTICES", 15)
+    with pytest.raises(ValueError, match="family too large"):
+        InducedKneser(fam)

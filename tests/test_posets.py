@@ -4,13 +4,12 @@ from itertools import permutations
 import pytest
 
 from knvex import posets, search
-from knvex.freeness import _embed, _Plan, check_witness, induced_kneser
+from knvex.freeness import _embed, _Plan, check_witness
 from knvex.patterns import Bipartition, bipartition, make_pattern, parse_pattern
 from knvex.posets import (
     CollisionError,
     IncrementalPosetChecker,
     Poset,
-    PosetCopy,
     antichain,
     butterfly,
     chain,
@@ -135,14 +134,14 @@ class TestContainsPosetCopy:
     def test_v_copy(self):
         copy = contains_poset_copy(F(3, [1], [1, 2], [1, 3]), v_poset())
         assert copy is not None
-        assert copy.mapping[0] == mask_of([1], 3)
+        assert copy[0] == mask_of([1], 3)
 
     def test_butterfly_copy(self):
         fam = F(3, [1], [2], [1, 2], [1, 2, 3])
         assert poset_copy_exists(fam.members, butterfly())
         copy = contains_poset_copy(fam, butterfly())
         assert copy is not None
-        bottoms = {copy.mapping[1], copy.mapping[3]}
+        bottoms = {copy[1], copy[3]}
         assert bottoms == {mask_of([1], 3), mask_of([2], 3)}
 
     def test_two_consecutive_levels_have_no_butterfly(self):
@@ -217,7 +216,7 @@ class TestContainsPosetCopy:
             for p in range(poset.size):
                 for q in range(poset.size):
                     if poset.less(p, q):
-                        assert copy.mapping[p] & copy.mapping[q] == copy.mapping[p]
+                        assert copy[p] & copy[q] == copy[p]
 
 
 class TestIncrementalPosetChecker:
@@ -432,14 +431,14 @@ class TestEOfPoset:
         cert = e_of_poset(butterfly(), 8)
         assert cert.value == 2
         assert cert.certificate is not None
-        levels = {m.bit_count() for m in cert.certificate.mapping.values()}
+        levels = {m.bit_count() for m in cert.certificate.values()}
         assert max(levels) - min(levels) <= 2
 
     def test_crown(self):
         cert = e_of_poset(crown(6), 8)
         assert cert.value == 1
         assert cert.certificate_n == 3
-        assert {m.bit_count() for m in cert.certificate.mapping.values()} == {1, 2}
+        assert {m.bit_count() for m in cert.certificate.values()} == {1, 2}
 
     def test_chain(self):
         assert e_of_poset(chain(2), 6).value == 1
@@ -449,7 +448,7 @@ class TestEOfPoset:
         cert = e_of_poset(v_poset(), 2)
         assert cert.value == 1
         assert (cert.certificate_n, cert.certificate_lowest_level) == (2, 0)
-        assert sorted(cert.certificate.mapping.values()) == [0b00, 0b01, 0b10]
+        assert sorted(cert.certificate.values()) == [0b00, 0b01, 0b10]
 
     def test_antichain_breaks_inside_one_level(self):
         assert e_of_poset(antichain(3), 6).value == 0
@@ -475,23 +474,19 @@ class TestPosetCopyToGraphCopy:
         p3 = make_pattern("star", 2)
         bip = Bipartition(frozenset({1, 2}), frozenset({0}))  # endpoints up
         host = self._closed(4, [mask_of([1, 2], 4), mask_of([1, 2, 3], 4), mask_of([1, 2, 4], 4)])
-        copy = PosetCopy(
-            {0: mask_of([1, 2], 4), 1: mask_of([1, 2, 3], 4), 2: mask_of([1, 2, 4], 4)}
-        )
-        witness = poset_copy_to_graph_copy(copy, p3, bip, host)
-        image = {v: host.members[i] for v, i in witness.mapping.items()}
+        copy = {0: mask_of([1, 2], 4), 1: mask_of([1, 2, 3], 4), 2: mask_of([1, 2, 4], 4)}
+        image = poset_copy_to_graph_copy(copy, p3, bip, host)
         assert image[0] == mask_of([1, 2], 4)
         assert image[1] == mask_of([4], 4)
         assert image[2] == mask_of([3], 4)
-        assert check_witness(induced_kneser(host), p3, witness)
+        assert check_witness(host, p3, image)
 
     def test_chain_example(self):
         k2 = make_pattern("clique", 2)
         bip = bipartition(k2)
         host = self._closed(4, [mask_of([1, 2], 4), mask_of([1, 2, 3], 4)])
-        copy = PosetCopy({0: mask_of([1, 2, 3], 4), 1: mask_of([1, 2], 4)})
-        witness = poset_copy_to_graph_copy(copy, k2, bip, host)
-        image = {v: host.members[i] for v, i in witness.mapping.items()}
+        copy = {0: mask_of([1, 2, 3], 4), 1: mask_of([1, 2], 4)}
+        image = poset_copy_to_graph_copy(copy, k2, bip, host)
         assert image == {0: mask_of([4], 4), 1: mask_of([1, 2], 4)}
 
     def test_collision_raises_boundary_pair(self):
@@ -499,7 +494,7 @@ class TestPosetCopyToGraphCopy:
         k2 = make_pattern("clique", 2)
         bip = bipartition(k2)
         host = self._closed(4, [0])
-        copy = PosetCopy({0: mask_of([1, 2, 3, 4], 4), 1: 0})
+        copy = {0: mask_of([1, 2, 3, 4], 4), 1: 0}
         with pytest.raises(CollisionError):
             poset_copy_to_graph_copy(copy, k2, bip, host)
 
@@ -509,24 +504,30 @@ class TestPosetCopyToGraphCopy:
         c6 = make_pattern("cycle", 6)
         bip = bipartition(c6)
         host = level_slice(3, 0, 3)
-        copy = PosetCopy(
-            {
-                1: mask_of([1], 3),
-                3: mask_of([2], 3),
-                5: mask_of([3], 3),
-                0: mask_of([1, 3], 3),
-                2: mask_of([1, 2], 3),
-                4: mask_of([2, 3], 3),
-            }
-        )
+        copy = {
+            1: mask_of([1], 3),
+            3: mask_of([2], 3),
+            5: mask_of([3], 3),
+            0: mask_of([1, 3], 3),
+            2: mask_of([1, 2], 3),
+            4: mask_of([2, 3], 3),
+        }
         with pytest.raises(CollisionError):
             poset_copy_to_graph_copy(copy, c6, bip, host)
+
+    def test_rejects_a_set_outside_the_host(self):
+        # {1,2} is not in the host {{1}, {2,3}}
+        s2 = make_pattern("star", 2)
+        host = Family.of(3, [mask_of([1], 3), mask_of([2, 3], 3)])
+        copy = {0: mask_of([1, 2], 3), 1: mask_of([1], 3), 2: mask_of([2], 3)}
+        with pytest.raises(ValueError, match="outside the host"):
+            poset_copy_to_graph_copy(copy, s2, bipartition(s2), host)
 
     def test_rejects_open_host(self):
         k2 = make_pattern("clique", 2)
         bip = bipartition(k2)
         host = Family.of(4, [mask_of([1, 2], 4), mask_of([1, 2, 3], 4)])
-        copy = PosetCopy({0: mask_of([1, 2, 3], 4), 1: mask_of([1, 2], 4)})
+        copy = {0: mask_of([1, 2, 3], 4), 1: mask_of([1, 2], 4)}
         with pytest.raises(ValueError):
             poset_copy_to_graph_copy(copy, k2, bip, host)
 
@@ -548,10 +549,10 @@ class TestPosetCopyToGraphCopy:
             if copy is None:
                 continue
             try:
-                witness = poset_copy_to_graph_copy(copy, p3, bip, host)
+                image = poset_copy_to_graph_copy(copy, p3, bip, host)
             except CollisionError:
                 continue
-            assert check_witness(induced_kneser(host), p3, witness)
+            assert check_witness(host, p3, image)
             checked += 1
         assert checked >= 20
 

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from knvex.constructions import (
     star_family,
     threshold_family,
 )
-from knvex.freeness import incremental_checker, is_free
+from knvex.freeness import IncrementalChecker, is_free
 from knvex.patterns import PatternGraph, bipartition, make_pattern, odd_girth, parse_pattern
 from knvex.posets import e_of_poset, poset_from_bipartite
 from knvex.search import (
@@ -37,7 +38,7 @@ def pattern_of(name: str) -> PatternGraph:
 
 
 def plain_search(n: int, pattern: PatternGraph) -> int:
-    value, _, exact, _ = max_family_avoiding(incremental_checker(pattern, n))
+    value, _, exact, _ = max_family_avoiding(IncrementalChecker(pattern, n))
     assert exact
     return value
 
@@ -90,7 +91,7 @@ class TestComplementCore:
     def test_upper_bound_covers_the_oracle_up_to_n3(self, name):
         pattern = pattern_of(name)
         for n in (1, 2, 3):
-            core, _, exact, _ = max_family_avoiding(incremental_checker(pattern, n), symmetric=True)
+            core, _, exact, _ = max_family_avoiding(IncrementalChecker(pattern, n), symmetric=True)
             assert exact
             upper = _core_upper_bound(n, core)
             assert upper >= max_family_size(n, lambda fam: not subgraph_copy_exists(fam, pattern))
@@ -151,7 +152,7 @@ class TestComplementCore:
         assert (res.nodes, res.core_nodes) == (nodes, self.CORE_NODES[name, n])
         assert res.value == _core_upper_bound(n, core_value)
         # the plain core search, as la runs its searches, keeps its node count
-        plain = max_family_avoiding(incremental_checker(pattern, n), symmetric=True)
+        plain = max_family_avoiding(IncrementalChecker(pattern, n), symmetric=True)
         assert (plain[0], plain[3]) == (core_value, plain_core_nodes)
 
     @pytest.mark.parametrize("name", SMALL_PATTERNS)
@@ -160,7 +161,7 @@ class TestComplementCore:
         for n in (1, 2, 3, 4):
             res = vex_exact(n, pattern)
             seed, _ = _lower_bound(n, pattern)
-            full = max_family_avoiding(incremental_checker(pattern, n), seed=seed)
+            full = max_family_avoiding(IncrementalChecker(pattern, n), seed=seed)
             assert (res.value, res.witness, res.exact) == full[:3]
 
     def test_an_unfinished_core_search_gives_no_stop_value(self):
@@ -188,8 +189,18 @@ class TestComplementCore:
         # the core search: half the nodes, half the 6 s left; the main search: the rest
         assert budgets == [(500, 107.0), (1001 - 62, 110.0)]
 
+    def test_a_past_deadline_visits_no_node(self):
+        checker = IncrementalChecker(parse_pattern("C5"), 4)
+        _, _, exact, nodes = max_family_avoiding(checker, deadline=time.monotonic() - 1)
+        assert (exact, nodes) == (False, 0)
+
+    def test_a_zero_timeout_returns_the_seed(self):
+        res = vex_exact(4, parse_pattern("C5"), timeout=0)
+        assert (res.value, res.lower_bound_source) == (11, "construction:threshold")
+        assert (res.upper, res.nodes, res.core_nodes) == (None, 0, 0)
+
     def test_a_seed_meeting_stop_takes_no_nodes(self):
-        checker = incremental_checker(parse_pattern("C5"), 4)
+        checker = IncrementalChecker(parse_pattern("C5"), 4)
         seed = level_slice(4, 2, 4)
         for stop in (11, 5):
             result = max_family_avoiding(checker, seed=seed, stop=stop)
@@ -226,7 +237,7 @@ def relabelled(fam: Family, perm: list[int]) -> Family:
 def both_searches(n: int, pattern: PatternGraph, **kwargs) -> tuple:
     """(plain, orbital) results of max_family_avoiding, each with a fresh checker."""
     return tuple(
-        max_family_avoiding(incremental_checker(pattern, n), relabel_invariant=flag, **kwargs)
+        max_family_avoiding(IncrementalChecker(pattern, n), relabel_invariant=flag, **kwargs)
         for flag in (False, True)
     )
 
@@ -297,7 +308,7 @@ class TestOrbitalPruning:
             perm = rng.sample(range(n), n)
             verdicts = []
             for members in (fam.members, relabelled(fam, perm).members):
-                checker = incremental_checker(pattern, n)
+                checker = IncrementalChecker(pattern, n)
                 for m in members:
                     checker.push(m)
                 verdicts.append(checker.currently_free())
@@ -346,19 +357,19 @@ class TestSeedWork:
             def currently_free(self):
                 return self.inner.currently_free()
 
-        checker = CountingChecker(incremental_checker(parse_pattern("C5"), 4))
+        checker = CountingChecker(IncrementalChecker(parse_pattern("C5"), 4))
         seed = level_slice(4, 2, 4)
         result = max_family_avoiding(checker, seed=seed, max_nodes=0)
         assert result == (11, seed, False, 0)
         assert checker.pushes == 0
 
     def test_a_seed_on_another_n_is_rejected(self):
-        checker = incremental_checker(parse_pattern("C5"), 4)
+        checker = IncrementalChecker(parse_pattern("C5"), 4)
         with pytest.raises(ValueError):
             max_family_avoiding(checker, seed=level_slice(5, 2, 3))
 
     def test_symmetric_seed_must_be_complement_closed(self):
-        checker = incremental_checker(parse_pattern("C5"), 4)
+        checker = IncrementalChecker(parse_pattern("C5"), 4)
         seed = level_slice(4, 1, 2)  # complements land in levels 2..3
         with pytest.raises(ValueError):
             max_family_avoiding(checker, symmetric=True, seed=seed)
