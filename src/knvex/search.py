@@ -14,6 +14,22 @@ group's undecided count is at most cap - chosen_g.  La passes symmetric
 chain decompositions with cap |P| - 1 (Lubell's chain argument).  One seed,
 the largest family the caller certified free, is the first incumbent.
 
+Visit order.  With outer_first=True the levels farthest from n/2 come first
+instead, ties still by mask; vex_exact's complement-core search sets it.
+Seeding that search with its own optimum leaves its node count unchanged,
+so its nodes are a proof of optimality, and such a proof is shortest when
+the search branches first on the sets that conflict most (the fail-first
+rule; Haralick and Elliott, Artificial Intelligence 1980).  A k-set is
+disjoint from 2^(n-k) sets, so the complement pairs with the most disjoint
+partners sit farthest from the middle level.  At n = 6 the core nodes fall
+from 1,038,583 to 6,329 on C5 and from 320,717 to 4,742 on K4.  vex_exact's
+main search keeps the middle-first default, where its large families lie:
+with 5,000 nodes it reaches 772 middle-first and 638 outer-first on C5 at
+n = 10 (84 against 79 on S3 at n = 7).  la keeps it too for now, though
+outer-first cuts its nodes at n = 5 (V 172,806 to 101,583, symmetric
+butterfly 1,070 to 319); see ROADMAP Direction 5.  The proofs below hold
+for any fixed visit order.
+
 Orbital pruning.  Relabelling [n] keeps disjointness and inclusion.  When
 the oracle's verdict is invariant under it (the caller asserts so with
 relabel_invariant=True), so is the problem over 2^[n].  Along a search path
@@ -87,6 +103,7 @@ def max_family_avoiding(
     partitions: tuple[int, Sequence[Sequence[object]]] | None = None,
     stop: int | None = None,
     relabel_invariant: bool = False,
+    outer_first: bool = False,
 ) -> tuple[int, Family, bool, int]:
     """Largest family in 2^[n], n = checker.n, that keeps the oracle satisfied.
 
@@ -110,12 +127,17 @@ def max_family_avoiding(
     excluded sets (see the module docstring), with the same results in no
     more nodes.
 
+    outer_first=True visits the levels farthest from n/2 first, ties still
+    by mask; a search that is not cut short returns the same value and
+    exactness in either order.
+
     Returns (value, witness, exact, nodes); with an exhausted budget the
     value is a certified lower bound.
     """
     n = checker.n
     full = (1 << n) - 1
-    ordered = sorted(range(full + 1), key=lambda m: (abs(2 * m.bit_count() - n), m))
+    sign = -1 if outer_first else 1
+    ordered = sorted(range(full + 1), key=lambda m: (sign * abs(2 * m.bit_count() - n), m))
     if symmetric:
         # complements share a level distance: each pair sits where its smaller set did
         units = [(m, full ^ m) for m in ordered if m < full ^ m]
@@ -373,7 +395,8 @@ def vex_exact(
     looking at the clock, which takes seconds at n >= 12, so a run can last
     longer than its timeout.  Both searches prune by orbits
     (relabel_invariant): relabelling [n] keeps disjointness, so it keeps the
-    pattern checker's verdict.
+    pattern checker's verdict.  The core search visits the outer levels
+    first, the main search the middle ones (see the module docstring).
     """
     validate_ground(n)
     if max_nodes is not None and max_nodes < 0:
@@ -401,6 +424,7 @@ def vex_exact(
             max_nodes=max_nodes // 2 if max_nodes is not None else None,
             deadline=now + (deadline - now) / 2 if deadline is not None else None,
             relabel_invariant=True,
+            outer_first=True,
         )
         if core_exact:
             core_value = core
@@ -428,10 +452,12 @@ def vex_exact(
 
 # Ground sizes where vex_exact runs the core search.  At n <= 3 it costs more
 # than it saves: the full search of C5 at n = 3 visits 16 nodes, the core and
-# stopped searches 8 + 9 (at n = 4: 338 against 62 + 17).  At n >= 7 no core
-# search has finished in a usable budget: S3, the smallest measured core search
-# at n = 6 (6,941 nodes), was still open after 3,000,000 nodes at n = 7, and
-# an unfinished core search gives no stop value, so its nodes would be lost.
+# stopped searches 12 + 9 (at n = 4: 338 against 35 + 17).  At n = 7 the
+# outer-first core search closes for some patterns only: S3 in 96,413 nodes
+# (vex_sym 40, bound 84) and C4 in 780,193 (vex_sym 70, bound 99), while K4
+# and K3 are still open after 1,500,000 nodes.  An unfinished core search
+# gives no stop value, so its nodes would be lost; n = 7 waits for a budget
+# rule that runs the core search only where it finishes.
 _CORE_SEARCH_NS = range(4, 7)
 
 

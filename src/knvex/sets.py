@@ -190,23 +190,29 @@ def family_to_text(fam: Family) -> str:
 
 
 def family_from_text(text: str) -> Family:
-    """Parse the family text format produced by family_to_text."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+    """Parse the family text format produced by family_to_text.
+
+    A set listed twice, or an element listed twice on one line, is a
+    ValueError naming the line (numbered from 1, the header included).
+    """
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("n="):
         raise ValueError("family text must start with a 'n=<k>' header line")
     try:
-        n = int(lines[0][2:])
+        n = int(lines[0][1][2:])
     except ValueError:
-        raise ValueError(f"bad ground size header {lines[0]!r}") from None
+        raise ValueError(f"bad ground size header {lines[0][1]!r}") from None
     validate_ground(n)
-    masks = []
-    for ln in lines[1:]:
-        if ln == "-":
-            masks.append(0)
-            continue
+    masks: set[int] = set()
+    for i, ln in lines[1:]:
         try:
-            elems = [int(tok) for tok in ln.split(",")]
+            elems = [] if ln == "-" else [int(tok) for tok in ln.split(",")]
         except ValueError:
             raise ValueError(f"bad set line {ln!r}") from None
-        masks.append(mask_of(elems, n))
+        mask = mask_of(elems, n)
+        if mask.bit_count() != len(elems):
+            raise ValueError(f"line {i}: an element is repeated in {ln!r}")
+        if mask in masks:
+            raise ValueError(f"line {i}: the set {ln!r} is listed twice")
+        masks.add(mask)
     return Family.of(n, masks)

@@ -63,6 +63,8 @@ class TestExitCodes:
             ("eposet", "--poset", "nonsense", "--nmax", "4"),
             ("la", "--n", "3", "--poset", "bad.poset"),
             ("vex", "--n", "3", "--pattern", "bad.pattern"),
+            ("cyclecheck", "--n", "3", "--family", "twice.family"),
+            ("cyclecheck", "--n", "3", "--family", "repeated.family"),
             # constructions larger than the freeness check takes, refused unbuilt
             ("vex", "--n", "30", "--pattern", "M2"),
             ("vex", "--n", "30", "--pattern", "C5", "--bounds"),
@@ -73,6 +75,8 @@ class TestExitCodes:
         # files that exist but do not parse
         (tmp_path / "bad.poset").write_text("e 3\n0 1\n")
         (tmp_path / "bad.pattern").write_text("p 3\n0 1 2\n")
+        (tmp_path / "twice.family").write_text("n=3\n1,2\n1,2\n")
+        (tmp_path / "repeated.family").write_text("n=3\n1,1\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -97,9 +101,9 @@ class TestReports:
     @pytest.mark.parametrize(
         "pattern, value, stats",
         [
-            ("C5", 24, {"nodes": 33, "core_nodes": 1196, "core_value": 16}),
-            ("K2,3", 26, {"nodes": 0, "core_nodes": 792, "core_value": 20}),
-            ("K4", 28, {"nodes": 33, "core_nodes": 1104, "core_value": 24}),
+            ("C5", 24, {"nodes": 33, "core_nodes": 174, "core_value": 16}),
+            ("K2,3", 26, {"nodes": 0, "core_nodes": 222, "core_value": 20}),
+            ("K4", 28, {"nodes": 33, "core_nodes": 127, "core_value": 24}),
         ],
     )
     def test_exact_n5_runs_stop_at_the_core_bound(self, capsys, pattern, value, stats):

@@ -24,7 +24,7 @@ from knvex.search import (
     vex_bounds,
     vex_exact,
 )
-from knvex.sets import Family, level_slice
+from knvex.sets import Family, family_complement, level_slice
 
 from oracles import max_family_size, subgraph_copy_exists
 
@@ -112,18 +112,18 @@ class TestComplementCore:
         assert (res.core_value, res.core_nodes) == (None, 0)
         assert res.upper_bound_source != "search:complement-core"
 
-    # core nodes of vex_exact's core search, which prunes by orbits
+    # core nodes of vex_exact's core search, which prunes by orbits, outer levels first
     CORE_NODES = {
-        ("C5", 4): 62,
-        ("K2,3", 4): 55,
-        ("K4", 4): 37,
-        ("S3", 4): 32,
-        ("C4", 4): 53,
-        ("C5", 5): 1196,
-        ("K2,3", 5): 792,
-        ("K4", 5): 1104,
-        ("S3", 5): 167,
-        ("C4", 5): 748,
+        ("C5", 4): 35,
+        ("K2,3", 4): 45,
+        ("K4", 4): 27,
+        ("S3", 4): 30,
+        ("C4", 4): 31,
+        ("C5", 5): 174,
+        ("K2,3", 5): 222,
+        ("K4", 5): 127,
+        ("S3", 5): 72,
+        ("C4", 5): 126,
     }
 
     @pytest.mark.parametrize(
@@ -185,9 +185,9 @@ class TestComplementCore:
         monkeypatch.setattr(search, "max_family_avoiding", recording)
         monkeypatch.setattr(search, "time", clock)
         res = vex_exact(4, parse_pattern("C5"), max_nodes=1001, timeout=10.0)
-        assert res.exact and res.core_nodes == 62
+        assert res.exact and res.core_nodes == 35
         # the core search: half the nodes, half the 6 s left; the main search: the rest
-        assert budgets == [(500, 107.0), (1001 - 62, 110.0)]
+        assert budgets == [(500, 107.0), (1001 - 35, 110.0)]
 
     def test_a_past_deadline_visits_no_node(self):
         checker = IncrementalChecker(parse_pattern("C5"), 4)
@@ -210,15 +210,33 @@ class TestComplementCore:
         res = vex_exact(6, parse_pattern("S3"), max_nodes=400_000)
         # vex_sym = 20, so the upper bound 32 + 10 is the bip_lower seed's size
         assert res.exact
-        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (42, 20, 0, 6_941)
+        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (42, 20, 0, 624)
         assert res.lower_bound_source == "construction:bip_lower"
         assert res.upper_bound_source == "search:complement-core"
+
+    @pytest.mark.parametrize(
+        "name, value, core_value, core_nodes",
+        [
+            ("C5", 48, 32, 6_329),
+            ("K2,3", 48, 32, 7_285),
+            ("K4", 58, 52, 4_742),
+            ("C4", 47, 30, 6_067),
+            ("S3", 42, 20, 624),
+            ("K3", 52, 40, 4_276),
+        ],
+    )
+    def test_every_named_pattern_closes_at_n6_in_20000_nodes(
+        self, name, value, core_value, core_nodes
+    ):
+        res = vex_exact(6, parse_pattern(name), max_nodes=20_000)
+        assert res.exact and res.upper_bound_source == "search:complement-core"
+        assert (res.value, res.core_value, res.core_nodes) == (value, core_value, core_nodes)
 
     def test_budgeted_c4_closes_at_n6(self):
         res = vex_exact(6, parse_pattern("C4"), max_nodes=400_000)
         # vex_sym = 30, so the upper bound 32 + 15 is the e2_two_level seed's size
         assert res.exact
-        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (47, 30, 0, 178_314)
+        assert (res.value, res.core_value, res.nodes, res.core_nodes) == (47, 30, 0, 6_067)
         assert res.lower_bound_source == "construction:e2_two_level"
         assert res.upper_bound_source == "search:complement-core"
 
@@ -297,6 +315,24 @@ class TestOrbitalPruning:
                 plain, orbital = both_searches(n, pattern, symmetric=symmetric, max_nodes=max_nodes)
                 assert orbital[0] >= plain[0]
                 assert is_free(orbital[1], pattern)
+
+    def test_outer_first_keeps_the_value(self):
+        rng = random.Random(17)
+        for n in (4, 5):
+            for _ in range(15):
+                pattern = random_pattern(rng)
+                middle, outer = (
+                    max_family_avoiding(
+                        IncrementalChecker(pattern, n),
+                        symmetric=True,
+                        relabel_invariant=True,
+                        outer_first=flag,
+                    )
+                    for flag in (False, True)
+                )
+                assert outer[0] == middle[0] and outer[2] and middle[2]
+                assert is_free(outer[1], pattern)
+                assert family_complement(outer[1]) == outer[1]
 
     def test_the_checker_verdict_is_relabel_invariant(self):
         # the premise of the pruning, checked rather than assumed

@@ -162,6 +162,21 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             family_from_text("n=3\n1,9\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=3\n1,2\n3\n2,1\n", "line 4: the set '2,1' is listed twice"),
+            ("n=3\n-\n\n-\n", "line 4: the set '-' is listed twice"),
+            ("n=3\n1,1\n", "line 2: an element is repeated in '1,1'"),
+            ("n=3\n2,3,2\n", "line 2: an element is repeated in '2,3,2'"),
+        ],
+        ids=["set", "empty-set", "element", "element-apart"],
+    )
+    def test_repeats_are_errors(self, text, message):
+        with pytest.raises(ValueError) as info:
+            family_from_text(text)
+        assert str(info.value) == message
+
     def test_empty_family(self):
         fam = Family.of(6, [])
         assert family_from_text(family_to_text(fam)) == fam
