@@ -43,11 +43,25 @@ class NamedConstruction:
             )
 
 
+def _check_parameters(name: str, n: int, params: dict[str, int]) -> None:
+    """ValueError when the construction does not take this n or these values."""
+    validate_ground(n)
+    if name == "star" and not 1 <= params["x"] <= n:
+        raise ValueError(f"element {params['x']} outside 1..{n}")
+    if name == "matching_extremal" and not 0 <= params["k"] <= 1 << (n - 1):
+        raise ValueError(f"k={params['k']} outside 0..2^{n - 1}")
+    least = {"bip_lower": 2, "e2_two_level": 3}.get(name)
+    if least is not None and n < least:
+        raise ValueError(f"needs n >= {least}")
+    if name in ("threshold", "clique_threshold"):
+        ((key, value),) = params.items()
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1")
+
+
 def star_family(n: int, x: int) -> Family:
     """All sets containing the fixed element x; pairwise intersecting."""
-    validate_ground(n)
-    if not 1 <= x <= n:
-        raise ValueError(f"element {x} outside 1..{n}")
+    _check_parameters("star", n, {"x": x})
     bit = 1 << (x - 1)
     low_bits = bit - 1
     masks = []
@@ -64,9 +78,7 @@ def matching_extremal(n: int, k: int) -> Family:
     every induced edge meets one of the k added complements, which caps any
     induced matching at k edges while the k complement pairs realize one.
     """
-    validate_ground(n)
-    if not 0 <= k <= 1 << (n - 1):
-        raise ValueError(f"k={k} outside 0..2^{n - 1}")
+    _check_parameters("matching_extremal", n, {"k": k})
     star = star_family(n, 1)
     doubled = [complement(m, n) for m in star.members[:k]]
     return Family.of(n, list(star.members) + doubled)
@@ -78,9 +90,7 @@ def bip_lower(n: int) -> Family:
     Even n: all sets of size at least n/2.  Odd n: all sets of size above
     n/2 plus the floor(n/2)-sets containing element 1.
     """
-    validate_ground(n)
-    if n < 2:
-        raise ValueError("needs n >= 2")
+    _check_parameters("bip_lower", n, {})
     if n % 2 == 0:
         return level_slice(n, n // 2, n)
     masks = list(level_slice(n, (n + 1) // 2, n).members)
@@ -94,18 +104,14 @@ def threshold_family(n: int, k: int) -> Family:
     Among any 2k+1 such sets some element is covered k+1 times, so they span
     an independent set of size k+1, which the odd cycle does not have.
     """
-    validate_ground(n)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_parameters("threshold", n, {"k": k})
     cut = k * n  # |F| * (2k+1) > kn
     return Family.of(n, (m for m in range(1 << n) if m.bit_count() * (2 * k + 1) > cut))
 
 
 def clique_threshold_family(n: int, r: int) -> Family:
     """All sets of size above n/(r+1); r+1 pairwise disjoint ones cannot fit."""
-    validate_ground(n)
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _check_parameters("clique_threshold", n, {"r": r})
     return Family.of(n, (m for m in range(1 << n) if m.bit_count() * (r + 1) > n))
 
 
@@ -122,9 +128,7 @@ def e2_two_level(n: int) -> Family:
 
 def e2_core(n: int) -> Family:
     """The two-level base of e2_two_level (its non-isolated part)."""
-    validate_ground(n)
-    if n < 3:
-        raise ValueError("needs n >= 3")
+    _check_parameters("e2_two_level", n, {})
     if n % 2:
         return level_slice(n, n // 2, (n + 1) // 2)
     half = n // 2
@@ -135,12 +139,12 @@ def e2_core(n: int) -> Family:
 def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
     """Instantiate a named family together with its size formula and freeness claim.
 
-    Each construction has one branch: its generator, which validates n and
-    the parameters, then its closed-form size, computed independently of the
-    enumeration, then the pattern it avoids.  An unknown name, a missing or
-    unexpected parameter, or a ground size at which the family (at least
-    2^(n-1) sets for every construction) is larger than the freeness check
-    takes raises ValueError before any generator runs.
+    Each construction has one branch: its closed-form size, computed
+    independently of the enumeration, the pattern it avoids and its
+    generator.  An unknown name, a missing or unexpected parameter, a ground
+    size or parameter value the generator refuses, or a family larger than
+    the freeness check takes raises ValueError, checked in that order and
+    before any generator runs.
     """
     if name not in CONSTRUCTION_PARAMETERS:
         raise ValueError(f"unknown construction {name!r}")
@@ -149,40 +153,40 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
     for key in sorted(set(params) ^ set(CONSTRUCTION_PARAMETERS[name])):
         problem = "takes no" if key in params else "needs the"
         raise ValueError(f"construction {name!r} {problem} parameter {key!r}")
-    validate_ground(n)  # before the shift, which n < 1 would break
-    if 1 << (n - 1) > freeness.MAX_VERTICES:
-        raise ValueError(
-            f"construction {name!r} at n={n} has at least 2^{n - 1} sets, "
-            f"more than the {freeness.MAX_VERTICES} the freeness check takes"
-        )
+    _check_parameters(name, n, params)
     if name == "star":
-        fam = star_family(n, params["x"])
         size, claim = 1 << (n - 1), "K2"
+        generate = lambda: star_family(n, params["x"])
     elif name == "matching_extremal":
         k = params["k"]
-        fam = matching_extremal(n, k)
         size, claim = (1 << (n - 1)) + k, f"M{k + 1}"
+        generate = lambda: matching_extremal(n, k)
     elif name == "bip_lower":
-        fam = bip_lower(n)
         extra = comb(n, n // 2) // 2 if n % 2 == 0 else comb(n - 1, n // 2 - 1)
         size, claim = (1 << (n - 1)) + extra, "S2"  # max degree <= 1 is 2-star freeness
+        generate = lambda: bip_lower(n)
     elif name == "threshold":
         k = params["k"]
-        fam = threshold_family(n, k)
         size, claim = (1 << n) - binom_tail(n, k * n // (2 * k + 1), "le"), f"C{2 * k + 1}"
+        generate = lambda: threshold_family(n, k)
     elif name == "clique_threshold":
         r = params["r"]
-        fam = clique_threshold_family(n, r)
         size, claim = (1 << n) - binom_tail(n, n // (r + 1), "le"), f"K{r + 1}"
+        generate = lambda: clique_threshold_family(n, r)
     else:  # e2_two_level
-        fam = e2_two_level(n)
         if n % 2:
             size = (1 << (n - 1)) + comb(n, n // 2)
         else:
             # sets through 1 of size >= n/2-1, plus sets whose part beyond 1 has size >= n/2
             size = binom_tail(n - 1, n // 2 - 2, "ge") + binom_tail(n - 1, n // 2, "ge")
         claim = "C4"
-    return NamedConstruction(name, dict(params), fam, size, claim)
+        generate = lambda: e2_two_level(n)
+    if size > freeness.MAX_VERTICES:
+        raise ValueError(
+            f"construction {name!r} at n={n} has {size} sets, "
+            f"more than the {freeness.MAX_VERTICES} the freeness check takes"
+        )
+    return NamedConstruction(name, dict(params), generate(), size, claim)
 
 
 def verify_construction(nc: NamedConstruction) -> dict:

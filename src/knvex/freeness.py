@@ -30,6 +30,18 @@ the order and narrows by every relation once.  The orbits are found by the
 engine itself, so the symmetry is checked, never assumed.  The plain search
 uses the same argument: a host that fails for the first vertex leaves the
 domains of that vertex's whole orbit.
+
+A static search also prunes by the host family's own symmetry, found and so
+checked by _symmetry_blocks.  Call a transposition (i j) of [n] good when it
+maps the family onto itself.  If (i j) and (j k) are good, so is (i k) =
+(i j)(j k)(i j); so the good transpositions split [n] into blocks, testing
+an element against one element of each block found so far decides where it
+goes, and they generate the product of the blocks' symmetric groups.  Under
+that group Y lies in X's class iff |Y & b| = |X & b| for every block b.  A
+relabelling that keeps the family maps a copy with the first vertex on h to
+one with it on the image of h, so a host fails for the first vertex iff its
+whole class does.  Candidates run in index order, so each class is first
+tried at its smallest member and the copy found is the plain search's.
 """
 
 from __future__ import annotations
@@ -163,7 +175,7 @@ def _narrow(domains: list[int], related, row: int) -> bool:
     return True
 
 
-def _embed(plan: _Plan, host_size: int, rows, forced=None):
+def _embed(plan: _Plan, host_size: int, rows, forced=None, classes=None):
     """Injective relation-preserving map of the pattern into an abstract host.
 
     rows[r](i) is the bitset of host indices that host index i relates to in
@@ -171,7 +183,9 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None):
     pinned to host index h.  An unforced search reads only rows[0], so a
     static host may pass that getter alone.  Unforced, a host that fails for
     the first vertex leaves the domains of that vertex's whole automorphism
-    orbit.  Returns the assignment dict or None.
+    orbit; with classes (from _symmetry_classes, unforced only) its whole
+    host class leaves them, and the first vertex's candidates, with it.
+    Returns the assignment dict or None.
     """
     size = plan.size
     if size > host_size:
@@ -217,9 +231,12 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None):
                 return True
             if pos == 0:
                 # no copy at all puts h on the first vertex, so by symmetry
-                # none puts it on any vertex of that vertex's orbit
+                # none puts h, or a host in its class, on any vertex of that
+                # vertex's orbit
+                gone = low if classes is None else classes[h]
+                cands &= ~gone
                 for u in plan.first_orbit:
-                    domains[u] &= ~low
+                    domains[u] &= ~gone
         return False
 
     if place(start, domains, used):
@@ -227,10 +244,59 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None):
     return None
 
 
-def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
-    """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent."""
+def _symmetry_blocks(fam: Family) -> list[int]:
+    """The blocks of [n] that the good transpositions of the family join, as
+    masks in order of their smallest element (see the module docstring)."""
     members = fam.members
-    assign = _embed(_graph_plan(pattern), len(members), (InducedKneser(fam).neighbor_mask,))
+    member_set = fam.member_set
+    blocks: list[int] = []
+    for e in range(fam.n):
+        bit = 1 << e
+        for k, block in enumerate(blocks):
+            both = bit | (block & -block)
+            # (e r) maps the family onto itself iff it maps every member holding
+            # one of e, r to a member; the first failing member ends the test
+            if all(m ^ both in member_set for m in members if 0 != m & both != both):
+                blocks[k] |= bit
+                break
+        else:
+            blocks.append(bit)
+    return blocks
+
+
+def _symmetry_classes(fam: Family) -> list[int] | None:
+    """Per member index, the bitmask of the member indices in its host class:
+    those with as many elements as it in every block of _symmetry_blocks.
+    None when every block is a singleton."""
+    blocks = _symmetry_blocks(fam)
+    if len(blocks) == fam.n:
+        return None
+    members = fam.members
+    size = len(members)
+    # one bytearray per class: or-ing bits into a big int one at a time is quadratic
+    bits: dict[tuple[int, ...], bytearray] = {}
+    keys = []
+    for i, m in enumerate(members):
+        key = tuple((m & b).bit_count() for b in blocks)
+        keys.append(key)
+        row = bits.get(key)
+        if row is None:
+            row = bits[key] = bytearray((size + 7) // 8)
+        row[i >> 3] |= 1 << (i & 7)
+    masks = {key: int.from_bytes(row, "little") for key, row in bits.items()}
+    return [masks[key] for key in keys]
+
+
+def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
+    """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent.
+
+    The first vertex is tried on one host per class of the family's own
+    symmetry (_symmetry_classes), and the copy returned is the one the plain
+    search returns.
+    """
+    members = fam.members
+    rows = (InducedKneser(fam).neighbor_mask,)
+    assign = _embed(_graph_plan(pattern), len(members), rows, classes=_symmetry_classes(fam))
     return None if assign is None else {v: members[i] for v, i in assign.items()}
 
 

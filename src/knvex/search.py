@@ -392,8 +392,11 @@ def vex_exact(
     structural cases, no core search runs (core_value None, core_nodes 0)
     and the main search gets the whole budget.  The timeout bounds the
     searches only: the construction seed is certified before them without
-    looking at the clock, which takes seconds at n >= 12, so a run can last
-    longer than its timeout.  Both searches prune by orbits
+    looking at the clock.  With the host-symmetry pruning of the static
+    check that stays under half a second up to n = 14 (`vex --n 12
+    --pattern C5 --budget 10 --timeout 1` runs 0.15 s in all), but takes
+    about 48 s for C5 at n = 17, so a run there lasts far longer than its
+    timeout.  Both searches prune by orbits
     (relabel_invariant): relabelling [n] keeps disjointness, so it keeps the
     pattern checker's verdict.  The core search visits the outer levels
     first, the main search the middle ones (see the module docstring).

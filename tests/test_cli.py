@@ -69,6 +69,8 @@ class TestExitCodes:
             ("vex", "--n", "30", "--pattern", "M2"),
             ("vex", "--n", "30", "--pattern", "C5", "--bounds"),
             ("verify", "--construction", "star", "--n", "22"),
+            # refused by the closed-form size, before the family is generated
+            ("vex", "--n", "21", "--pattern", "K2,3", "--bounds"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):

@@ -1,3 +1,4 @@
+import re
 from math import comb
 
 import pytest
@@ -212,9 +213,28 @@ class TestNamedConstructions:
         with pytest.raises(ValueError, match=named):
             build_construction(name, 6, **params)
 
+    @pytest.mark.parametrize(
+        "name, n, params, message",
+        [
+            ("e2_two_level", 2, {}, "needs n >= 3"),
+            ("bip_lower", 1, {}, "needs n >= 2"),
+            ("star", 4, {"x": 5}, "element 5 outside 1..4"),
+            ("matching_extremal", 3, {"k": 5}, "k=5 outside 0..2^2"),
+            ("threshold", 6, {"k": 0}, "k must be at least 1"),
+            ("clique_threshold", 6, {"r": 0}, "r must be at least 1"),
+            ("star", 0, {}, "ground size must be in 1..30, got 0"),
+            # values are checked before the size, also where the size is too large
+            ("threshold", 21, {"k": 0}, "k must be at least 1"),
+            ("star", 22, {"x": 23}, "element 23 outside 1..22"),
+        ],
+    )
+    def test_parameter_value_errors_keep_their_messages(self, name, n, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_construction(name, n, **params)
+
     def test_large_n_is_refused_before_any_generator_runs(self, monkeypatch):
-        # every construction has at least 2^(n-1) sets, more than the freeness
-        # check takes from n = 22 on
+        # the closed-form size is checked against the 2^20 sets the freeness
+        # check takes: at n = 21 only the star, with exactly 2^20, is built
         class Built(Exception):
             pass
 
@@ -231,10 +251,17 @@ class TestNamedConstructions:
         ):
             monkeypatch.setattr(constructions, generator, refuse)
         for name, params, _ in self.CASES:
-            with pytest.raises(Built):
-                build_construction(name, 21, **params)
-            with pytest.raises(ValueError, match="2\\^21 sets"):
-                build_construction(name, 22, **params)
+            for n in (21, 22):
+                if (name, n) == ("star", 21):
+                    with pytest.raises(Built):
+                        build_construction(name, n, **params)
+                    continue
+                refusal = f"at n={n} has \\d+ sets, more than the 1048576"
+                with pytest.raises(ValueError, match=refusal) as info:
+                    build_construction(name, n, **params)
+                assert int(re.search(r"has (\d+) sets", str(info.value))[1]) > 1 << 20
+        with pytest.raises(ValueError, match="has 1048577 sets"):
+            build_construction("matching_extremal", 21, k=1)
 
     def test_star_defaults_to_element_1(self):
         assert build_construction("star", 5).params == {"x": 1}

@@ -1,12 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from knvex import freeness
-from knvex.constructions import star_family, threshold_family
+from knvex.constructions import bip_lower, clique_threshold_family, star_family, threshold_family
 from knvex.freeness import (
     IncrementalChecker,
     InducedKneser,
+    _embed,
+    _graph_plan,
+    _symmetry_blocks,
+    _symmetry_classes,
     check_witness,
     contains_subgraph,
     is_free,
@@ -142,6 +147,109 @@ class TestOracleAgreement:
             for pattern in [*NAMED.values(), path4, parse_pattern("K2,3"), ASYMMETRIC]:
                 got = contains_subgraph(fam, pattern)
                 assert (got is not None) == subgraph_copy_exists(masks, pattern)
+
+
+def good_transpositions(fam: Family) -> list[tuple[int, int]]:
+    """Every (i, j) whose swap maps the family onto itself, by mapping it whole."""
+    pairs = []
+    for i in range(fam.n):
+        for j in range(i + 1, fam.n):
+            swapped = {m ^ (1 << i | 1 << j) if (m >> i ^ m >> j) & 1 else m for m in fam}
+            if swapped == fam.member_set:
+                pairs.append((i, j))
+    return pairs
+
+
+def orbit_by_swaps(fam: Family, mask: int) -> set[int]:
+    """Closure of one member under the good transpositions, swap by swap."""
+    swaps = [1 << i | 1 << j for i, j in good_transpositions(fam)]
+    orbit, frontier = {mask}, [mask]
+    while frontier:
+        m = frontier.pop()
+        for both in swaps:
+            image = m ^ both if 0 != m & both != both else m
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
+
+
+def block_invariant_family(rng: random.Random, n: int) -> tuple[Family, list[int]]:
+    """A random union of classes under a random block partition of [n], and its blocks."""
+    labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+    planted = [sum(1 << e for e in range(n) if labels[e] == b) for b in sorted(set(labels))]
+    keys = {tuple((m & b).bit_count() for b in planted) for m in range(1 << n)}
+    kept = {key for key in keys if rng.random() < 0.4}
+    masks = [m for m in range(1 << n) if tuple((m & b).bit_count() for b in planted) in kept]
+    return Family.of(n, masks), planted
+
+
+class TestHostSymmetry:
+    def test_blocks_of_the_constructions(self):
+        for n in range(1, 9):
+            full = (1 << n) - 1
+            assert _symmetry_blocks(threshold_family(n, 1)) == [full]
+            assert _symmetry_blocks(threshold_family(n, 2)) == [full]
+            assert _symmetry_blocks(clique_threshold_family(n, 3)) == [full]
+            star = [1, full ^ 1] if n > 1 else [1]
+            assert _symmetry_blocks(star_family(n, 1)) == star
+            if n >= 2:
+                assert _symmetry_blocks(bip_lower(n)) == ([full] if n % 2 == 0 else star)
+
+    def test_a_removed_member_leaves_no_false_block(self):
+        # only the swaps inside the removed set or inside its complement keep the rest
+        for n in range(2, 8):
+            fam = threshold_family(n, 2)
+            for removed in fam.members[:: max(1, len(fam) // 5)]:
+                rest = Family.of(n, (m for m in fam if m != removed))
+                parts = [b for b in (removed, ((1 << n) - 1) ^ removed) if b]
+                expected = sorted(parts, key=lambda b: b & -b)
+                assert _symmetry_blocks(rest) == expected
+                pairs = combinations(range(n), 2)
+                inside = {(i, j) for i, j in pairs if any(b >> i & b >> j & 1 for b in parts)}
+                assert set(good_transpositions(rest)) == inside
+
+    def test_trivial_symmetry_gives_none(self):
+        chain = F(3, [1], [1, 2], [1, 2, 3])
+        assert good_transpositions(chain) == []
+        assert _symmetry_blocks(chain) == [1, 2, 4]
+        assert _symmetry_classes(chain) is None
+        assert _symmetry_classes(F(1, [], [1])) is None
+
+    def test_classes_are_the_orbits_of_the_good_transpositions(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            fam, planted = block_invariant_family(rng, n)
+            classes = _symmetry_classes(fam)
+            blocks = _symmetry_blocks(fam)
+            # a planted block lies inside one found block
+            assert all(any(p & b == p for b in blocks) for p in planted)
+            for i, m in enumerate(fam.members):
+                row = 1 << i if classes is None else classes[i]
+                mates = {fam.members[j] for j in range(len(fam)) if row >> j & 1}
+                assert mates == orbit_by_swaps(fam, m)
+
+    def test_pruned_search_returns_the_plain_copy(self):
+        rng = random.Random(13)
+        patterns = [*NAMED.values(), parse_pattern("K2,3"), parse_pattern("S3"), ASYMMETRIC]
+        symmetric = 0
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            fam, _ = block_invariant_family(rng, n)
+            symmetric += _symmetry_classes(fam) is not None
+            rows = (InducedKneser(fam).neighbor_mask,)
+            for pattern in patterns:
+                got = contains_subgraph(fam, pattern)
+                plain = _embed(_graph_plan(pattern), len(fam), rows)
+                if plain is not None:
+                    plain = {v: fam.members[i] for v, i in plain.items()}
+                assert got == plain
+                if got is not None:
+                    assert check_witness(fam, pattern, got)
+                if len(fam) <= 8:
+                    assert (got is not None) == subgraph_copy_exists(fam.members, pattern)
+        assert symmetric > 100
 
 
 class TestMonotonicity:

@@ -267,6 +267,25 @@ class TestIncrementalPosetChecker:
                 expected = all(contains_poset_copy(fam, poset) is None for poset in forbidden)
                 assert chk.currently_free() == expected
 
+    def test_the_checker_verdict_is_relabel_invariant(self):
+        # relabelling [n] keeps inclusion, so it keeps the verdict
+        rng = random.Random(19)
+        for _ in range(150):
+            size = rng.randint(2, 4)
+            pairs = [(p, q) for p in range(size) for q in range(p + 1, size) if rng.random() < 0.5]
+            poset = Poset.from_relations(size, pairs)
+            n = rng.randint(2, 5)
+            fam = Family.of(n, rng.sample(range(1 << n), rng.randint(1, 1 << (n - 1))))
+            perm = rng.sample(range(n), n)
+            image = Family.of(n, (sum(1 << perm[b] for b in range(n) if m >> b & 1) for m in fam))
+            verdicts = []
+            for members in (fam.members, image.members):
+                checker = IncrementalPosetChecker([poset], n)
+                for m in members:
+                    checker.push(m)
+                verdicts.append(checker.currently_free())
+            assert verdicts[0] == verdicts[1] == (contains_poset_copy(fam, poset) is None)
+
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             IncrementalPosetChecker([v_poset()], 2).pop()

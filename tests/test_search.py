@@ -512,6 +512,13 @@ class TestVexBounds:
         for name in ("K3", "C5"):
             assert vex_bounds(6, parse_pattern(name)).upper_bound_source == "formula:cycle-tail"
 
+    def test_k23_at_n14_is_certified_by_symmetry(self):
+        # three static freeness checks on hosts of up to 11,195 sets: about
+        # 0.5 s with the host-symmetry pruning, about 55 s without it
+        bounds = vex_bounds(14, parse_pattern("K2,3"))
+        assert (bounds.value, bounds.lower_bound_source) == (11195, "construction:e2_two_level")
+        assert bounds.upper is None
+
     def test_odd_girth_is_computed_once_per_pattern(self):
         odd_girth.cache_clear()
         pattern = parse_pattern("C5")
