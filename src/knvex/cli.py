@@ -26,7 +26,7 @@ from .cycle import double_count_check
 from .patterns import parse_pattern, pattern_from_text
 from .posets import e_of_poset, la, named_poset, poset_from_text
 from .search import vex_bounds, vex_exact
-from .sets import Family, elements_of, family_from_text, random_family, validate_ground
+from .sets import Family, family_from_text, random_family, set_to_text, validate_ground
 
 
 @dataclass
@@ -42,10 +42,7 @@ class RunReport:
 
 
 def _family_json(fam: Family) -> dict:
-    return {
-        "n": fam.n,
-        "sets": [",".join(map(str, elements_of(m))) or "-" for m in fam],
-    }
+    return {"n": fam.n, "sets": [set_to_text(m) for m in fam]}
 
 
 def _load(spec: str, by_name, from_text):
@@ -87,15 +84,16 @@ def _cmd_vex(args) -> tuple[RunReport, int]:
 def _cmd_table(args) -> tuple[RunReport | None, int]:
     pattern = _load(args.pattern, parse_pattern, pattern_from_text)
     lo, hi = args.n_range
-    # checked before the header, so a rejected range prints nothing
     if lo > hi:
         raise ValueError(f"empty range {lo}..{hi}")
     validate_ground(lo)
     validate_ground(hi)
     writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "lower", "upper", "exact"])
     for n in range(lo, hi + 1):
         res = vex_bounds(n, pattern)
+        if n == lo:
+            # written after the first row is computed, so a refused first row prints nothing
+            writer.writerow(["n", "lower", "upper", "exact"])
         upper = "" if res.upper is None else res.upper
         writer.writerow([n, res.value, upper, res.value if res.exact else ""])
     return None, 0
@@ -126,10 +124,7 @@ def _cmd_eposet(args) -> tuple[RunReport, int]:
         results["certificate"] = {
             "n": cert.certificate_n,
             "lowest_level": cert.certificate_lowest_level,
-            "mapping": {
-                str(e): ",".join(map(str, elements_of(m))) or "-"
-                for e, m in sorted(cert.certificate.items())
-            },
+            "mapping": {str(e): set_to_text(m) for e, m in sorted(cert.certificate.items())},
         }
     code = 0 if cert.certificate is not None else 1
     return RunReport("eposet", {"poset": args.poset, "nmax": args.nmax}, results), code
@@ -193,7 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_vex)
 
-    p = sub.add_parser("table", help="CSV sweep of bounds over a range of ground sizes")
+    p = sub.add_parser(
+        "table",
+        help="CSV sweep of bounds over a range of ground sizes; a row refused after the first"
+        " still exits 2, after the rows before it",
+    )
     p.add_argument("--pattern", required=True)
     p.add_argument("--n", dest="n_range", type=_parse_range, required=True, help="range like 6..14")
     p.set_defaults(func=_cmd_table)

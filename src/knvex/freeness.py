@@ -68,24 +68,19 @@ class InducedKneser:
         row = self._rows.get(i)
         if row is not None:
             return row
-        members = self.vertices.members
-        mask = members[i]
-        free = complement(mask, self.n)
+        # every neighbor is a subset of the complement: enumerate submasks, at
+        # most 2^n of them, no more than twice the size of any host a command
+        # checks (each holds at least 2^(n-1) sets)
+        free = complement(self.vertices.members[i], self.n)
         row = 0
-        if 1 << free.bit_count() <= 2 * len(members):
-            # every neighbor is a subset of the complement: enumerate submasks
-            sub = free
-            while True:
-                j = self._index.get(sub)
-                if j is not None and j != i:
-                    row |= 1 << j
-                if sub == 0:
-                    break
-                sub = (sub - 1) & free
-        else:
-            for j, other in enumerate(members):
-                if other & mask == 0 and j != i:
-                    row |= 1 << j
+        sub = free
+        while True:
+            j = self._index.get(sub)
+            if j is not None and j != i:
+                row |= 1 << j
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
         self._rows[i] = row
         return row
 

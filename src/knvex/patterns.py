@@ -17,6 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from .sets import read_numbered
+
 MAX_PATTERN_VERTICES = 16
 
 
@@ -181,14 +183,6 @@ def pattern_to_text(graph: PatternGraph) -> str:
 
 
 def pattern_from_text(text: str) -> PatternGraph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("p "):
-        raise ValueError("pattern text must start with a 'p <vertex_count>' line")
-    count = int(lines[0].split()[1])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return PatternGraph.make(count, edges)
+    """Parse the pattern text format produced by pattern_to_text; see read_numbered."""
+    count, items = read_numbered(text, "p ", None, 2, 0)
+    return PatternGraph.make(count, (tuple(edge) for _, _, edge in items))

@@ -29,6 +29,7 @@ from .sets import (
     complement,
     family_complement,
     level_slice,
+    read_numbered,
     symmetric_chains,
     validate_ground,
 )
@@ -237,17 +238,9 @@ def poset_to_text(poset: Poset) -> str:
 
 
 def poset_from_text(text: str) -> Poset:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("e "):
-        raise ValueError("poset text must start with an 'e <size>' line")
-    size = int(lines[0].split()[1])
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split("<")
-        if len(parts) != 2:
-            raise ValueError(f"bad relation line {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    return Poset.from_relations(size, pairs)
+    """Parse the poset text format produced by poset_to_text; see read_numbered."""
+    size, items = read_numbered(text, "e ", "<", 2, 0)
+    return Poset.from_relations(size, (tuple(pair) for _, _, pair in items))
 
 
 def _superset_rows(members: tuple[int, ...]) -> list[int]:

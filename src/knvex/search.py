@@ -21,8 +21,7 @@ so its nodes are a proof of optimality, and such a proof is shortest when
 the search branches first on the sets that conflict most (the fail-first
 rule; Haralick and Elliott, Artificial Intelligence 1980).  A k-set is
 disjoint from 2^(n-k) sets, so the complement pairs with the most disjoint
-partners sit farthest from the middle level.  At n = 6 the core nodes fall
-from 1,038,583 to 6,329 on C5 and from 320,717 to 4,742 on K4.  vex_exact's
+partners sit farthest from the middle level.  vex_exact's
 main search keeps the middle-first default, where its large families lie:
 with 5,000 nodes it reaches 772 middle-first and 638 outer-first on C5 at
 n = 10 (84 against 79 on S3 at n = 7).  la keeps it too for now, though

@@ -98,10 +98,6 @@ class Family:
     def __contains__(self, mask: int) -> bool:
         return mask in self.member_set
 
-    def index(self, mask: int) -> int:
-        """Position of a member in canonical order."""
-        return self.members.index(mask)
-
 
 def family_complement(fam: Family) -> Family:
     """Pointwise complement, re-canonicalized; an involution on families."""
@@ -180,13 +176,42 @@ def random_family(n: int, seed: int = 0) -> Family:
     return Family.of(n, (m for m in range(1, (1 << n) - 1) if rng.random() < 0.5))
 
 
+def set_to_text(mask: int) -> str:
+    """A set as the text formats and reports write it: "1,3,4", or "-" when empty."""
+    return ",".join(map(str, elements_of(mask))) or "-"
+
+
+def read_numbered(text: str, header: str, sep: str | None, width: int, first: int):
+    """Parse the pattern, poset and family text formats: a header line
+    "<header><count>", then one item per line, integers in first..count+first-1
+    split by sep ("-" for none); width > 0 fixes how many per line.
+
+    Returns (count, [(line number, line, integers)]).  Lines are stripped,
+    blank ones skipped and the rest numbered from 1, the header included.  A
+    header other than the header string and a decimal count, or a line that
+    does not parse, is a ValueError naming the line.
+    """
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    i, head = lines[0] if lines else (1, "")
+    digits = head[len(header):]
+    if not (head.startswith(header) and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"line {i}: expected a '{header}<count>' header, got {head!r}")
+    count = int(digits)
+    items = []
+    for i, ln in lines[1:]:
+        tokens = [] if ln == "-" else [tok.strip() for tok in ln.split(sep)]
+        if width not in (0, len(tokens)) or not all(t.isascii() and t.isdigit() for t in tokens):
+            raise ValueError(f"line {i}: cannot read {ln!r}")
+        values = [int(tok) for tok in tokens]
+        if not all(first <= v < count + first for v in values):
+            raise ValueError(f"line {i}: {ln!r} has a value outside {first}..{count + first - 1}")
+        items.append((i, ln, values))
+    return count, items
+
+
 def family_to_text(fam: Family) -> str:
-    """Serialize: header "n=<k>", then one set per line ("1,3,4"; "-" for the empty set)."""
-    lines = [f"n={fam.n}"]
-    for mask in fam:
-        elems = elements_of(mask)
-        lines.append(",".join(map(str, elems)) if elems else "-")
-    return "\n".join(lines) + "\n"
+    """Serialize: header "n=<k>", then one set per line (set_to_text)."""
+    return "\n".join([f"n={fam.n}", *map(set_to_text, fam)]) + "\n"
 
 
 def family_from_text(text: str) -> Family:
@@ -195,20 +220,10 @@ def family_from_text(text: str) -> Family:
     A set listed twice, or an element listed twice on one line, is a
     ValueError naming the line (numbered from 1, the header included).
     """
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("n="):
-        raise ValueError("family text must start with a 'n=<k>' header line")
-    try:
-        n = int(lines[0][1][2:])
-    except ValueError:
-        raise ValueError(f"bad ground size header {lines[0][1]!r}") from None
+    n, items = read_numbered(text, "n=", ",", 0, 1)
     validate_ground(n)
     masks: set[int] = set()
-    for i, ln in lines[1:]:
-        try:
-            elems = [] if ln == "-" else [int(tok) for tok in ln.split(",")]
-        except ValueError:
-            raise ValueError(f"bad set line {ln!r}") from None
+    for i, ln, elems in items:
         mask = mask_of(elems, n)
         if mask.bit_count() != len(elems):
             raise ValueError(f"line {i}: an element is repeated in {ln!r}")

@@ -71,12 +71,18 @@ class TestExitCodes:
             ("verify", "--construction", "star", "--n", "22"),
             # refused by the closed-form size, before the family is generated
             ("vex", "--n", "21", "--pattern", "K2,3", "--bounds"),
+            ("table", "--pattern", "K2,3", "--n", "21..22"),
+            # headers with more than a count, read as "e 3" and "p 3" before
+            ("la", "--n", "3", "--poset", "header.poset"),
+            ("vex", "--n", "3", "--pattern", "header.pattern"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
         # files that exist but do not parse
         (tmp_path / "bad.poset").write_text("e 3\n0 1\n")
         (tmp_path / "bad.pattern").write_text("p 3\n0 1 2\n")
+        (tmp_path / "header.poset").write_text("e 3 9\n0 < 1\n")
+        (tmp_path / "header.pattern").write_text("p 3 9\n0 1\n")
         (tmp_path / "twice.family").write_text("n=3\n1,2\n1,2\n")
         (tmp_path / "repeated.family").write_text("n=3\n1,1\n")
         monkeypatch.chdir(tmp_path)

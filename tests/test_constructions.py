@@ -181,6 +181,9 @@ class TestNamedConstructions:
             for n in range(first, 13):
                 nc = build_construction(name, n, **params)
                 assert len(nc.family) == nc.claimed_size
+                # InducedKneser.neighbor_mask enumerates 2^(n - |A|) submasks per row,
+                # which is cheap only because every host holds this many sets
+                assert nc.claimed_size >= 1 << (n - 1)
 
     def test_size_mismatch_is_fatal(self):
         fam = star_family(3, 1)

@@ -66,6 +66,21 @@ class TestInducedKneser:
                 expected = (min(i, j), max(i, j)) in edges
                 assert bool(row >> j & 1) == expected
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_on_sparse_and_dense_families(self, seed):
+        # rows by submask enumeration, checked far below the 2^(n-1) sets of any host
+        rng = random.Random(seed)
+        n = rng.randint(1, 10)
+        sparse = Family.of(n, rng.sample(range(1 << n), rng.randint(1, min(10, 1 << n))))
+        dense = Family.of(n, (m for m in range(1 << n) if rng.random() < 0.75))
+        for fam in (sparse, dense):
+            g = InducedKneser(fam)
+            rows = [0] * len(fam)
+            for i, j in disjointness_edges(fam.members):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            assert [g.neighbor_mask(i) for i in range(len(fam))] == rows
+
 
 class TestContainsSubgraph:
     def test_triangle_of_singletons(self):

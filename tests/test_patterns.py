@@ -113,3 +113,18 @@ class TestTextFormat:
             pattern_from_text("4\n0 1\n")
         with pytest.raises(ValueError):
             pattern_from_text("p 3\n0 0\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p 3 9\n0 1\n", "line 1: expected a 'p <count>' header, got 'p 3 9'"),
+            ("p 3\n\n0 1 2\n", "line 3: cannot read '0 1 2'"),
+            ("p 3\n0 x\n", "line 2: cannot read '0 x'"),
+            ("p 3\n0 3\n", "line 2: '0 3' has a value outside 0..2"),
+        ],
+        ids=["header", "width", "token", "range"],
+    )
+    def test_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            pattern_from_text(text)
+        assert str(info.value) == message

