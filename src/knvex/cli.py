@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import __version__
 from .constructions import CONSTRUCTION_PARAMETERS, build_construction, verify_construction
@@ -38,7 +38,8 @@ class RunReport:
     toolkit_version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        # the fields are plain JSON data already; asdict would deep-copy every witness
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
 def _family_json(fam: Family) -> dict:

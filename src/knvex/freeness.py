@@ -28,8 +28,9 @@ copy must use the pushed set, and composing it with an automorphism moves the
 pinned vertex anywhere in its orbit.  A pinned vertex goes to the front of
 the order and narrows by every relation once.  The orbits are found by the
 engine itself, so the symmetry is checked, never assumed.  The plain search
-uses the same argument: a host that fails for the first vertex leaves the
-domains of that vertex's whole orbit.
+uses the same argument: a host that fails for the first vertex, by its
+degree, by forward checking or in its subsearch, leaves the domains of that
+vertex's whole orbit (_embed says why each failure proves it).
 
 A static search also prunes by the host family's own symmetry, found and so
 checked by _symmetry_blocks.  Call a transposition (i j) of [n] good when it
@@ -42,9 +43,20 @@ relabelling that keeps the family maps a copy with the first vertex on h to
 one with it on the image of h, so a host fails for the first vertex iff its
 whole class does.  Candidates run in index order, so each class is first
 tried at its smallest member and the copy found is the plain search's.
+
+The transpositions are tested on the family's indicator I = sum of 2^m over
+the members, a 2^n-bit int: with has_x the positions whose bit x is set,
+(e r) for r < e moves the members holding e but not r down by 2^e - 2^r,
+so it keeps the family iff (I & has_e & ~has_r) >> (2^e - 2^r) equals
+I & has_r & ~has_e.  The has_x masks take n * 2^n bits: 28 KB at n = 14
+and 5.5 MB at n = 21, the largest ground set of a host any command checks.
+A family with 2^n > 2 * MAX_VERTICES gets no classes, so a library call at
+n = 30 searches plainly instead of allocating gigabytes.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .patterns import PatternGraph
 from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask
@@ -154,8 +166,10 @@ class _Plan:
         self.first_orbit = next(orbit for orbit in self.orbits if order[0] in orbit)
 
 
+@lru_cache(maxsize=None)
 def _graph_plan(pattern: PatternGraph) -> _Plan:
-    """Adjacency plan in decreasing-degree order, ties by label."""
+    """Adjacency plan in decreasing-degree order, ties by label.  Built once
+    per pattern and shared: a _Plan holds only tuples and is never changed."""
     degrees = pattern.degrees
     order = sorted(range(pattern.vertex_count), key=lambda v: (-degrees[v], v))
     return _Plan((pattern.adjacency,), order)
@@ -176,11 +190,17 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None, classes=None):
     rows[r](i) is the bitset of host indices that host index i relates to in
     relation r of the plan.  With forced=(p, h) the pattern vertex p is
     pinned to host index h.  An unforced search reads only rows[0], so a
-    static host may pass that getter alone.  Unforced, a host that fails for
-    the first vertex leaves the domains of that vertex's whole automorphism
-    orbit; with classes (from _symmetry_classes, unforced only) its whole
-    host class leaves them, and the first vertex's candidates, with it.
-    Returns the assignment dict or None.
+    static host may pass that getter alone.
+
+    Unforced, a host that fails for the first vertex, by its degree, by
+    forward checking or by its subsearch, leaves the domains of that
+    vertex's whole automorphism orbit; with classes (from _symmetry_classes,
+    unforced only) its whole host class leaves them, and the first vertex's
+    candidates, with it.  Any of the three failures proves that no copy puts
+    h first: at position 0 the domains lack only hosts already proven to be
+    in no copy on the first orbit, so forward checking there empties no
+    domain that a copy would fill.  The orbit and the class then follow by
+    symmetry, as in the module docstring.  Returns the assignment dict or None.
     """
     size = plan.size
     if size > host_size:
@@ -214,16 +234,12 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None, classes=None):
             h = low.bit_length() - 1
             row = first(h)
             # the images of v's related vertices are distinct members of row
-            if row.bit_count() < need:
-                continue
-            new_domains = domains
-            if later:
-                new_domains = list(domains)
-                if not _narrow(new_domains, later, row):
-                    continue
-            image[pos] = h
-            if place(pos + 1, new_domains, used | low):
-                return True
+            if row.bit_count() >= need:
+                new_domains = list(domains) if later else domains
+                if not later or _narrow(new_domains, later, row):
+                    image[pos] = h
+                    if place(pos + 1, new_domains, used | low):
+                        return True
             if pos == 0:
                 # no copy at all puts h on the first vertex, so by symmetry
                 # none puts h, or a host in its class, on any vertex of that
@@ -239,41 +255,58 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None, classes=None):
     return None
 
 
+def _has_bit(x: int, n: int) -> int:
+    """The 2^n-bit mask of the positions m in 0..2^n-1 whose bit x is set."""
+    width = 2 << x
+    mask = ((1 << (1 << x)) - 1) << (1 << x)
+    while width < 1 << n:
+        mask |= mask << width
+        width <<= 1
+    return mask
+
+
 def _symmetry_blocks(fam: Family) -> list[int]:
     """The blocks of [n] that the good transpositions of the family join, as
-    masks in order of their smallest element (see the module docstring)."""
-    members = fam.members
-    member_set = fam.member_set
+    masks in order of their smallest element; each transposition is tested
+    on the family's indicator bitmap (see the module docstring)."""
+    n = fam.n
+    bitmap = bytearray(((1 << n) + 7) >> 3)
+    for m in fam.members:
+        bitmap[m >> 3] |= 1 << (m & 7)
+    indicator = int.from_bytes(bitmap, "little")
+    has = [_has_bit(x, n) for x in range(n)]
     blocks: list[int] = []
-    for e in range(fam.n):
-        bit = 1 << e
+    for e in range(n):
         for k, block in enumerate(blocks):
-            both = bit | (block & -block)
-            # (e r) maps the family onto itself iff it maps every member holding
-            # one of e, r to a member; the first failing member ends the test
-            if all(m ^ both in member_set for m in members if 0 != m & both != both):
-                blocks[k] |= bit
+            r = (block & -block).bit_length() - 1
+            moved = indicator & has[e] & ~has[r]
+            if moved >> ((1 << e) - (1 << r)) == indicator & has[r] & ~has[e]:
+                blocks[k] |= 1 << e
                 break
         else:
-            blocks.append(bit)
+            blocks.append(1 << e)
     return blocks
 
 
 def _symmetry_classes(fam: Family) -> list[int] | None:
     """Per member index, the bitmask of the member indices in its host class:
     those with as many elements as it in every block of _symmetry_blocks.
-    None when every block is a singleton."""
+    None when every block is a singleton, or when 2^n > 2 * MAX_VERTICES
+    (the block test's memory bound)."""
+    if 1 << fam.n > 2 * MAX_VERTICES:
+        return None
     blocks = _symmetry_blocks(fam)
     if len(blocks) == fam.n:
         return None
     members = fam.members
+    if len(blocks) == 1:
+        keys = list(map(int.bit_count, members))
+    else:
+        keys = list(zip(*([(m & b).bit_count() for m in members] for b in blocks)))
     size = len(members)
     # one bytearray per class: or-ing bits into a big int one at a time is quadratic
-    bits: dict[tuple[int, ...], bytearray] = {}
-    keys = []
-    for i, m in enumerate(members):
-        key = tuple((m & b).bit_count() for b in blocks)
-        keys.append(key)
+    bits: dict[object, bytearray] = {}
+    for i, key in enumerate(keys):
         row = bits.get(key)
         if row is None:
             row = bits[key] = bytearray((size + 7) // 8)

@@ -17,9 +17,21 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .sets import read_numbered
+from .sets import naming_line, read_numbered
 
 MAX_PATTERN_VERTICES = 16
+
+
+def _check_vertex_count(vertex_count: int) -> None:
+    if not 1 <= vertex_count <= MAX_PATTERN_VERTICES:
+        raise ValueError(f"vertex count must be 1..{MAX_PATTERN_VERTICES}")
+
+
+def _check_edge(vertex_count: int, u: int, v: int) -> None:
+    if u == v:
+        raise ValueError(f"loop at vertex {u}")
+    if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+        raise ValueError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
 
 
 @dataclass(frozen=True)
@@ -31,14 +43,10 @@ class PatternGraph:
 
     @classmethod
     def make(cls, vertex_count: int, edges) -> "PatternGraph":
-        if not 1 <= vertex_count <= MAX_PATTERN_VERTICES:
-            raise ValueError(f"vertex count must be 1..{MAX_PATTERN_VERTICES}")
+        _check_vertex_count(vertex_count)
         norm = set()
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
+            _check_edge(vertex_count, u, v)
             norm.add((min(u, v), max(u, v)))
         return cls(vertex_count, frozenset(norm))
 
@@ -183,6 +191,11 @@ def pattern_to_text(graph: PatternGraph) -> str:
 
 
 def pattern_from_text(text: str) -> PatternGraph:
-    """Parse the pattern text format produced by pattern_to_text; see read_numbered."""
-    count, items = read_numbered(text, "p ", None, 2, 0)
+    """Parse the pattern text format produced by pattern_to_text; see read_numbered.
+    A vertex count or an edge that PatternGraph.make rejects is a ValueError
+    naming its line."""
+    count, items = read_numbered(text, "p ", None, 2, 0, _check_vertex_count)
+    for i, _, (u, v) in items:
+        with naming_line(i):
+            _check_edge(count, u, v)
     return PatternGraph.make(count, (tuple(edge) for _, _, edge in items))

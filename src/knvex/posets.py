@@ -29,6 +29,7 @@ from .sets import (
     complement,
     family_complement,
     level_slice,
+    naming_line,
     read_numbered,
     symmetric_chains,
     validate_ground,
@@ -40,6 +41,13 @@ MAX_POSET_SIZE = 16
 def _check_size(size: int) -> None:
     if not 1 <= size <= MAX_POSET_SIZE:
         raise ValueError(f"poset size must be 1..{MAX_POSET_SIZE}")
+
+
+def _check_pair(size: int, p: int, q: int) -> None:
+    if not (0 <= p < size and 0 <= q < size):
+        raise ValueError(f"relation ({p},{q}) outside 0..{size - 1}")
+    if p == q:
+        raise ValueError(f"reflexive relation at {p}")
 
 
 class CollisionError(ValueError):
@@ -78,10 +86,7 @@ class Poset:
         _check_size(size)  # before a row is built
         above = [0] * size
         for p, q in pairs:
-            if not (0 <= p < size and 0 <= q < size):
-                raise ValueError(f"relation ({p},{q}) outside 0..{size - 1}")
-            if p == q:
-                raise ValueError(f"reflexive relation at {p}")
+            _check_pair(size, p, q)
             above[p] |= 1 << q
         changed = True
         while changed:
@@ -238,8 +243,13 @@ def poset_to_text(poset: Poset) -> str:
 
 
 def poset_from_text(text: str) -> Poset:
-    """Parse the poset text format produced by poset_to_text; see read_numbered."""
-    size, items = read_numbered(text, "e ", "<", 2, 0)
+    """Parse the poset text format produced by poset_to_text; see read_numbered.
+    A size or a relation that Poset.from_relations rejects on its own is a
+    ValueError naming its line."""
+    size, items = read_numbered(text, "e ", "<", 2, 0, _check_size)
+    for i, _, (p, q) in items:
+        with naming_line(i):
+            _check_pair(size, p, q)
     return Poset.from_relations(size, (tuple(pair) for _, _, pair in items))
 
 

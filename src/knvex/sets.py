@@ -13,6 +13,7 @@ witnesses are reproducible across runs.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -181,15 +182,25 @@ def set_to_text(mask: int) -> str:
     return ",".join(map(str, elements_of(mask))) or "-"
 
 
-def read_numbered(text: str, header: str, sep: str | None, width: int, first: int):
+@contextmanager
+def naming_line(i: int):
+    """Re-raise a ValueError from the block with "line <i>: " in front."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {i}: {exc}") from None
+
+
+def read_numbered(text: str, header: str, sep: str | None, width: int, first: int, check_count):
     """Parse the pattern, poset and family text formats: a header line
     "<header><count>", then one item per line, integers in first..count+first-1
     split by sep ("-" for none); width > 0 fixes how many per line.
 
     Returns (count, [(line number, line, integers)]).  Lines are stripped,
     blank ones skipped and the rest numbered from 1, the header included.  A
-    header other than the header string and a decimal count, or a line that
-    does not parse, is a ValueError naming the line.
+    header other than the header string and a decimal count, a count that
+    check_count rejects, or a line that does not parse, is a ValueError
+    naming the line.
     """
     lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     i, head = lines[0] if lines else (1, "")
@@ -197,6 +208,8 @@ def read_numbered(text: str, header: str, sep: str | None, width: int, first: in
     if not (head.startswith(header) and digits.isascii() and digits.isdigit()):
         raise ValueError(f"line {i}: expected a '{header}<count>' header, got {head!r}")
     count = int(digits)
+    with naming_line(i):
+        check_count(count)
     items = []
     for i, ln in lines[1:]:
         tokens = [] if ln == "-" else [tok.strip() for tok in ln.split(sep)]
@@ -217,11 +230,11 @@ def family_to_text(fam: Family) -> str:
 def family_from_text(text: str) -> Family:
     """Parse the family text format produced by family_to_text.
 
-    A set listed twice, or an element listed twice on one line, is a
-    ValueError naming the line (numbered from 1, the header included).
+    A ground size outside 1..MAX_GROUND, a set listed twice, or an element
+    listed twice on one line, is a ValueError naming the line (numbered from
+    1, the header included).
     """
-    n, items = read_numbered(text, "n=", ",", 0, 1)
-    validate_ground(n)
+    n, items = read_numbered(text, "n=", ",", 0, 1, validate_ground)
     masks: set[int] = set()
     for i, ln, elems in items:
         mask = mask_of(elems, n)

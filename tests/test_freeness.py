@@ -4,7 +4,14 @@ from itertools import combinations
 import pytest
 
 from knvex import freeness
-from knvex.constructions import bip_lower, clique_threshold_family, star_family, threshold_family
+from knvex.constructions import (
+    bip_lower,
+    build_construction,
+    clique_threshold_family,
+    star_family,
+    threshold_family,
+    verify_construction,
+)
 from knvex.freeness import (
     IncrementalChecker,
     InducedKneser,
@@ -199,6 +206,17 @@ def block_invariant_family(rng: random.Random, n: int) -> tuple[Family, list[int
     return Family.of(n, masks), planted
 
 
+def blocks_by_brute_force(fam: Family) -> list[int]:
+    """The classes of [n] joined by good_transpositions, by smallest element."""
+    block_of = [1 << e for e in range(fam.n)]
+    for i, j in good_transpositions(fam):
+        joined = block_of[i] | block_of[j]
+        for e in range(fam.n):
+            if joined >> e & 1:
+                block_of[e] = joined
+    return sorted(set(block_of), key=lambda b: b & -b)
+
+
 class TestHostSymmetry:
     def test_blocks_of_the_constructions(self):
         for n in range(1, 9):
@@ -223,6 +241,68 @@ class TestHostSymmetry:
                 pairs = combinations(range(n), 2)
                 inside = {(i, j) for i, j in pairs if any(b >> i & b >> j & 1 for b in parts)}
                 assert set(good_transpositions(rest)) == inside
+
+    def test_bitmap_blocks_match_brute_force(self):
+        # random families, perturbed block-invariant ones, and ones holding the empty set and [n]
+        rng = random.Random(5)
+        fams = [F(1, []), F(1, [1]), F(1, [], [1]), Family.of(3, []), Family.of(3, range(8))]
+        for _ in range(240):
+            n = rng.randint(1, 8)
+            kind = rng.randrange(3)
+            if kind == 0:
+                density = rng.random()
+                masks = {m for m in range(1 << n) if rng.random() < density}
+            else:
+                masks = set(block_invariant_family(rng, n)[0].members)
+                masks ^= {rng.randrange(1 << n) for _ in range(rng.randint(0, 2))}
+            if kind == 2:
+                masks |= {0, (1 << n) - 1}
+            fams.append(Family.of(n, masks))
+        nontrivial = 0
+        for fam in fams:
+            blocks = _symmetry_blocks(fam)
+            assert blocks == blocks_by_brute_force(fam)
+            nontrivial += 1 < len(blocks) < fam.n
+            pairs = combinations(range(fam.n), 2)
+            inside = [(i, j) for i, j in pairs if any(b >> i & b >> j & 1 for b in blocks)]
+            assert good_transpositions(fam) == inside
+        assert nontrivial > 40
+
+    def test_no_classes_past_the_memory_bound(self, monkeypatch):
+        # the bitmap block test holds n * 2^n bits, so classes stop at 2^n > 2 * MAX_VERTICES
+        monkeypatch.setattr(freeness, "MAX_VERTICES", 16)
+        assert _symmetry_classes(level_slice(5, 0, 1)) is not None
+        fam = level_slice(6, 0, 1)
+        assert _symmetry_classes(fam) is None
+        rows = (InducedKneser(fam).neighbor_mask,)
+        for pattern in NAMED.values():
+            plain = _embed(_graph_plan(pattern), len(fam), rows)
+            got = contains_subgraph(fam, pattern)
+            assert got == {v: fam.members[i] for v, i in plain.items()}
+
+    @pytest.mark.parametrize(
+        "name, n, params, built",
+        [
+            ("bip_lower", 14, {}, 8),
+            ("threshold", 13, {"k": 2}, 232),
+            ("clique_threshold", 12, {"r": 3}, 172),
+            ("e2_two_level", 12, {}, 56),
+        ],
+    )
+    def test_rows_built_per_host_class(self, monkeypatch, name, n, params, built):
+        # adjacency rows a certification builds, a deterministic count; with one
+        # row per host, not per host class, these were 9908, 4272, 1743 and 2085
+        rows = []
+        neighbor_mask = InducedKneser.neighbor_mask
+
+        def counted(kneser, i):
+            if i not in kneser._rows:
+                rows.append(i)
+            return neighbor_mask(kneser, i)
+
+        monkeypatch.setattr(InducedKneser, "neighbor_mask", counted)
+        assert verify_construction(build_construction(name, n, **params))["pass"]
+        assert len(rows) == built
 
     def test_trivial_symmetry_gives_none(self):
         chain = F(3, [1], [1, 2], [1, 2, 3])

@@ -121,8 +121,11 @@ class TestTextFormat:
             ("p 3\n\n0 1 2\n", "line 3: cannot read '0 1 2'"),
             ("p 3\n0 x\n", "line 2: cannot read '0 x'"),
             ("p 3\n0 3\n", "line 2: '0 3' has a value outside 0..2"),
+            ("p 3\n0 1\n\n0 0\n", "line 4: loop at vertex 0"),
+            ("\np 0\n", "line 2: vertex count must be 1..16"),
+            ("p 17\n0 1\n", "line 1: vertex count must be 1..16"),
         ],
-        ids=["header", "width", "token", "range"],
+        ids=["header", "width", "token", "range", "loop", "count", "count-before-edges"],
     )
     def test_errors_name_the_line(self, text, message):
         with pytest.raises(ValueError) as info:

@@ -598,8 +598,11 @@ class TestNamedAndText:
             ("e 3\n0 < 1 extra\n", "line 2: cannot read '0 < 1 extra'"),
             ("e 3\n0 < 1\n\n1 < 2 < 0\n", "line 4: cannot read '1 < 2 < 0'"),
             ("e 3\n0 < 5\n", "line 2: '0 < 5' has a value outside 0..2"),
+            ("e 3\n0 < 1\n2 < 2\n", "line 3: reflexive relation at 2"),
+            ("\ne 0\n", "line 2: poset size must be 1..16"),
+            ("e 17\n0 < 1\n", "line 1: poset size must be 1..16"),
         ],
-        ids=["header", "token", "width", "range"],
+        ids=["header", "token", "width", "range", "reflexive", "size", "size-before-relations"],
     )
     def test_text_errors_name_the_line(self, text, message):
         with pytest.raises(ValueError) as info:

@@ -182,8 +182,10 @@ class TestTextFormat:
             ("n=3 4\n", "line 1: expected a 'n=<count>' header, got 'n=3 4'"),
             ("\nn=3\n1,x\n", "line 3: cannot read '1,x'"),
             ("n=3\n1,9\n", "line 2: '1,9' has a value outside 1..3"),
+            ("n=0\n", "line 1: ground size must be in 1..30, got 0"),
+            ("\n\nn=31\n1\n", "line 3: ground size must be in 1..30, got 31"),
         ],
-        ids=["header", "token", "range"],
+        ids=["header", "token", "range", "ground-zero", "ground-too-large"],
     )
     def test_errors_name_the_line(self, text, message):
         with pytest.raises(ValueError) as info:
