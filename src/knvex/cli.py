@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .constructions import CONSTRUCTION_PARAMETERS, build_construction, verify_construction
-from .cycle import double_count_check
+from .cycle import _check_ground, double_count_check
 from .patterns import parse_pattern, pattern_from_text
 from .posets import e_of_poset, la, named_poset, poset_from_text
 from .search import vex_bounds, vex_exact
@@ -143,6 +143,7 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
 
 def _cmd_cyclecheck(args) -> tuple[RunReport, int]:
     if args.family == "random":
+        _check_ground(args.n)  # before random_family builds up to 2^n sets
         fam = random_family(args.n, seed=args.seed)
     else:
         with open(args.family) as fh:

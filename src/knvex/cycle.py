@@ -1,10 +1,11 @@
 """Cyclic permutations, intervals, and the cycle method for odd-cycle bounds.
 
-A cyclic permutation of [n] is kept in canonical rotation (first entry 1),
-so there are exactly (n-1)! of them.  An interval is a run of cyclically
-consecutive entries, lengths 1..n; the empty set is not an interval, which
-is why the double-counting identity excludes the boundary sets: [n] is an
-interval of every cyclic permutation rather than of n! * 0! of them.
+A cyclic permutation of [n] is a sequence read around a circle; its n
+rotations are the same permutation, so the (n-1)! sequences that start at 1
+list each exactly once.  An interval is a run of cyclically consecutive
+entries, lengths 1..n; the empty set is not an interval, which is why the
+double-counting identity excludes the boundary sets: [n] is an interval of
+every cyclic permutation rather than of n! * 0! of them.
 
 The level-compensating weight of a set is C(n, |F|).  Summing the weight of
 the interval subfamily over all cyclic permutations counts each admissible
@@ -13,9 +14,8 @@ set |F|! (n-|F|)! times, giving lhs = |F| * n! exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from math import ceil, comb, factorial
 from typing import NamedTuple
@@ -23,45 +23,16 @@ from typing import NamedTuple
 from .sets import Family, binom_tail, validate_ground, validate_mask
 
 
-@dataclass(frozen=True)
-class CyclicPerm:
-    """A cyclic permutation of [n]; equal iff equal up to rotation."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.order)
-        validate_ground(n)
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"{self.order} is not a permutation of 1..{n}")
-        at = self.order.index(1)
-        if at:
-            rotated = self.order[at:] + self.order[:at]
-            object.__setattr__(self, "order", rotated)
-
-    @classmethod
-    def identity(cls, n: int) -> "CyclicPerm":
-        return cls(tuple(range(1, n + 1)))
-
-    @cached_property
-    def interval_masks(self) -> frozenset[int]:
-        """All n(n-1)+1 interval masks of this permutation."""
-        order = self.order
-        n = len(order)
-        out = set()
-        for start in range(n):
-            mask = 0
-            for off in range(n):  # grow the run from its start, [n] included
-                mask |= 1 << (order[(start + off) % n] - 1)
-                out.add(mask)
-        return frozenset(out)
-
-
-def cyclic_perms(n: int):
-    """All (n-1)! canonical cyclic permutations of [n]."""
-    validate_ground(n)
-    for rest in permutations(range(2, n + 1)):
-        yield CyclicPerm((1,) + rest)
+def interval_masks(order: tuple[int, ...]) -> frozenset[int]:
+    """All n(n-1)+1 interval masks of the cyclic permutation order of 1..n."""
+    n = len(order)
+    out = set()
+    for start in range(n):
+        mask = 0
+        for off in range(n):  # grow the run from its start, [n] included
+            mask |= 1 << (order[(start + off) % n] - 1)
+            out.add(mask)
+    return frozenset(out)
 
 
 def weight(n: int, mask: int) -> int:
@@ -72,7 +43,15 @@ def weight(n: int, mask: int) -> int:
 
 @lru_cache(maxsize=8)
 def _interval_sets(n: int) -> tuple[frozenset[int], ...]:
-    return tuple(p.interval_masks for p in cyclic_perms(n))
+    """The interval masks of each of the (n-1)! cyclic permutations of [n]."""
+    return tuple(interval_masks((1,) + rest) for rest in permutations(range(2, n + 1)))
+
+
+def _check_ground(n: int) -> None:
+    """Double counting enumerates (n-1)! permutations, so n is capped at 7."""
+    validate_ground(n)
+    if n > 7:
+        raise ValueError("double counting enumerates (n-1)! permutations; n <= 7 only")
 
 
 class DoubleCount(NamedTuple):
@@ -85,12 +64,11 @@ def double_count_check(fam: Family) -> DoubleCount:
     """Sum interval weights over all cyclic permutations against |F| * n!.
 
     Requires 0 < |F| < n for every member: the boundary sets do not satisfy
-    the |F|! (n-|F|)! interval count.  Enumerates all (n-1)! canonical cyclic
+    the |F|! (n-|F|)! interval count.  Enumerates all (n-1)! cyclic
     permutations, so n is capped at 7.
     """
     n = fam.n
-    if n > 7:
-        raise ValueError("double counting enumerates (n-1)! permutations; n <= 7 only")
+    _check_ground(n)
     full = (1 << n) - 1
     if 0 in fam or full in fam:
         raise ValueError("family must avoid the empty set and [n]")

@@ -27,11 +27,13 @@ def _check_vertex_count(vertex_count: int) -> None:
         raise ValueError(f"vertex count must be 1..{MAX_PATTERN_VERTICES}")
 
 
-def _check_edge(vertex_count: int, u: int, v: int) -> None:
+def _edge(vertex_count: int, u: int, v: int) -> tuple[int, int]:
+    """The edge {u, v} as (smaller, larger), checked against the vertex count."""
     if u == v:
         raise ValueError(f"loop at vertex {u}")
     if not (0 <= u < vertex_count and 0 <= v < vertex_count):
         raise ValueError(f"edge ({u},{v}) outside 0..{vertex_count - 1}")
+    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -44,11 +46,7 @@ class PatternGraph:
     @classmethod
     def make(cls, vertex_count: int, edges) -> "PatternGraph":
         _check_vertex_count(vertex_count)
-        norm = set()
-        for u, v in edges:
-            _check_edge(vertex_count, u, v)
-            norm.add((min(u, v), max(u, v)))
-        return cls(vertex_count, frozenset(norm))
+        return cls(vertex_count, frozenset(_edge(vertex_count, u, v) for u, v in edges))
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:
@@ -195,7 +193,8 @@ def pattern_from_text(text: str) -> PatternGraph:
     A vertex count or an edge that PatternGraph.make rejects is a ValueError
     naming its line."""
     count, items = read_numbered(text, "p ", None, 2, 0, _check_vertex_count)
+    edges = set()
     for i, _, (u, v) in items:
         with naming_line(i):
-            _check_edge(count, u, v)
-    return PatternGraph.make(count, (tuple(edge) for _, _, edge in items))
+            edges.add(_edge(count, u, v))
+    return PatternGraph(count, frozenset(edges))

@@ -43,11 +43,20 @@ def _check_size(size: int) -> None:
         raise ValueError(f"poset size must be 1..{MAX_POSET_SIZE}")
 
 
-def _check_pair(size: int, p: int, q: int) -> None:
+def _add_relation(above: list[int], p: int, q: int) -> None:
+    """Add p < q to transitively closed rows above, keeping them closed: every
+    element at or below p gains q and everything above q."""
+    size = len(above)
     if not (0 <= p < size and 0 <= q < size):
         raise ValueError(f"relation ({p},{q}) outside 0..{size - 1}")
     if p == q:
         raise ValueError(f"reflexive relation at {p}")
+    if above[q] >> p & 1:
+        raise ValueError(f"relation ({p},{q}) closes a cycle")
+    gained = 1 << q | above[q]
+    for r, row in enumerate(above):
+        if r == p or row >> p & 1:
+            above[r] = row | gained
 
 
 class CollisionError(ValueError):
@@ -56,29 +65,14 @@ class CollisionError(ValueError):
 
 @dataclass(frozen=True)
 class Poset:
-    """Strict partial order on 0..size-1; above[p] is the bitmask of q with p < q."""
+    """Strict partial order on 0..size-1; above[p] is the bitmask of q with p < q.
+
+    Posets are built by from_relations or the text reader, which keep the rows
+    transitively closed and acyclic.
+    """
 
     size: int
     above: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_size(self.size)
-        if len(self.above) != self.size:
-            raise ValueError("relation rows do not match size")
-        for p, row in enumerate(self.above):
-            if row >> self.size:
-                raise ValueError("relation row mentions unknown element")
-            if row >> p & 1:
-                raise ValueError(f"reflexive relation at {p}")
-            rest = row
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                q = low.bit_length() - 1
-                if self.above[q] >> p & 1:
-                    raise ValueError(f"cycle between {p} and {q}")
-                if self.above[q] & ~row:
-                    raise ValueError("relation not transitively closed")
 
     @classmethod
     def from_relations(cls, size: int, pairs) -> "Poset":
@@ -86,24 +80,7 @@ class Poset:
         _check_size(size)  # before a row is built
         above = [0] * size
         for p, q in pairs:
-            _check_pair(size, p, q)
-            above[p] |= 1 << q
-        changed = True
-        while changed:
-            changed = False
-            for p in range(size):
-                row = above[p]
-                rest = row
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    row |= above[low.bit_length() - 1]
-                if row != above[p]:
-                    above[p] = row
-                    changed = True
-        for p in range(size):
-            if above[p] >> p & 1:
-                raise ValueError(f"relations are cyclic through {p}")
+            _add_relation(above, p, q)
         return cls(size, tuple(above))
 
     @cached_property
@@ -178,13 +155,9 @@ def complete_three_level(s: int, t: int) -> Poset:
     """s bottoms under one middle element under t tops, all relations implied."""
     if s < 0 or t < 0:
         raise ValueError("side sizes must be nonnegative")
-    size = s + 1 + t
-    if size > MAX_POSET_SIZE:
-        raise ValueError(f"poset size {size} exceeds {MAX_POSET_SIZE}")
-    mid = s
-    pairs = [(i, mid) for i in range(s)]
-    pairs += [(mid, s + 1 + j) for j in range(t)]
-    return Poset.from_relations(size, pairs)
+    # a generator, so from_relations refuses an oversized poset before a pair is made
+    pairs = ((i, s) if i < s else (s, i) for i in range(s + 1 + t) if i != s)
+    return Poset.from_relations(s + 1 + t, pairs)
 
 
 def chain(length: int) -> Poset:
@@ -244,13 +217,14 @@ def poset_to_text(poset: Poset) -> str:
 
 def poset_from_text(text: str) -> Poset:
     """Parse the poset text format produced by poset_to_text; see read_numbered.
-    A size or a relation that Poset.from_relations rejects on its own is a
-    ValueError naming its line."""
+    A size or a relation that Poset.from_relations rejects is a ValueError
+    naming its line; a cycle is named at the line that closes it."""
     size, items = read_numbered(text, "e ", "<", 2, 0, _check_size)
+    above = [0] * size
     for i, _, (p, q) in items:
         with naming_line(i):
-            _check_pair(size, p, q)
-    return Poset.from_relations(size, (tuple(pair) for _, _, pair in items))
+            _add_relation(above, p, q)
+    return Poset(size, tuple(above))
 
 
 def _superset_rows(members: tuple[int, ...]) -> list[int]:

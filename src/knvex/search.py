@@ -26,8 +26,7 @@ main search keeps the middle-first default, where its large families lie:
 with 5,000 nodes it reaches 772 middle-first and 638 outer-first on C5 at
 n = 10 (84 against 79 on S3 at n = 7).  la keeps it too for now, though
 outer-first cuts its nodes at n = 5 (V 172,806 to 101,583, symmetric
-butterfly 1,070 to 319); see ROADMAP Direction 5.  The proofs below hold
-for any fixed visit order.
+butterfly 1,070 to 319).  The proofs below hold for any fixed visit order.
 
 Orbital pruning.  Relabelling [n] keeps disjointness and inclusion.  When
 the oracle's verdict is invariant under it (the caller asserts so with
@@ -326,15 +325,20 @@ def _two_levels_free(pattern: PatternGraph) -> bool:
     return posets.e_of_poset(posets.poset_from_bipartite(pattern), 6).value >= 2
 
 
+def _is_structural(pattern: PatternGraph) -> bool:
+    """Edgeless, or every degree 1: the patterns _structural_value answers."""
+    return pattern.edge_count == 0 or all(d == 1 for d in pattern.degrees)
+
+
 def _structural_value(n: int, pattern: PatternGraph) -> VexResult | None:
     """The exact answer for edgeless patterns and matchings at any n, else None."""
+    if not _is_structural(pattern):
+        return None
     if pattern.edge_count == 0:
         value = min(1 << n, pattern.vertex_count - 1)
         edgeless = "trivial:edgeless"
         return VexResult(value, Family.of(n, range(value)), edgeless, value, edgeless)
 
-    if not all(d == 1 for d in pattern.degrees):
-        return None
     k = pattern.edge_count - 1
     if k >= 1 << (n - 1):
         # the cube's maximum matching is 2^(n-1), too small for the pattern
@@ -406,8 +410,7 @@ def vex_exact(
     if timeout is not None and not timeout >= 0:  # also rejects NaN
         raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
     # checked before vex_bounds builds a seed; edgeless patterns and matchings need no search
-    structural = pattern.edge_count == 0 or all(d == 1 for d in pattern.degrees)
-    if n > 5 and max_nodes is None and timeout is None and not structural:
+    if n > 5 and max_nodes is None and timeout is None and not _is_structural(pattern):
         raise ValueError("n > 5 needs an explicit budget (max_nodes or timeout)")
     deadline = time.monotonic() + timeout if timeout is not None else None
     bounds = vex_bounds(n, pattern)

@@ -31,6 +31,19 @@ def poset_copy_exists(masks, poset) -> bool:
     return False
 
 
+def transitive_closure(size: int, pairs) -> list[int]:
+    """Row p: the bitmask of q reachable from p along one or more pairs
+    (Warshall's algorithm); a cycle shows as p in its own row."""
+    less = [[False] * size for _ in range(size)]
+    for p, q in pairs:
+        less[p][q] = True
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                less[i][j] = less[i][j] or (less[i][k] and less[k][j])
+    return [sum(1 << q for q in range(size) if less[p][q]) for p in range(size)]
+
+
 def automorphism_orbit_minima(size: int, relations) -> tuple[int, ...]:
     """Smallest label of each orbit of the permutations of 0..size-1 that map
     the relation (a set of ordered pairs) onto itself, by trying every one.

@@ -75,6 +75,8 @@ class TestExitCodes:
             # headers with more than a count, read as "e 3" and "p 3" before
             ("la", "--n", "3", "--poset", "header.poset"),
             ("vex", "--n", "3", "--pattern", "header.pattern"),
+            # a cycle closed only by the relation on line 3
+            ("la", "--n", "3", "--poset", "cyclic.poset"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -85,12 +87,23 @@ class TestExitCodes:
         (tmp_path / "header.pattern").write_text("p 3 9\n0 1\n")
         (tmp_path / "twice.family").write_text("n=3\n1,2\n1,2\n")
         (tmp_path / "repeated.family").write_text("n=3\n1,1\n")
+        (tmp_path / "cyclic.poset").write_text("e 3\n0 < 1\n1 < 0\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("knvex: error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", ["8", "23"])
+    def test_cyclecheck_refuses_large_n_before_building_a_family(self, capsys, monkeypatch, n):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("random_family called")
+
+        monkeypatch.setattr("knvex.cli.random_family", unreachable)
+        code, out, err = run(capsys, "cyclecheck", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == "knvex: error: double counting enumerates (n-1)! permutations; n <= 7 only\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -230,9 +243,9 @@ def cap_address_space():
 
 
 class TestOversizedInputs:
-    # each once built a huge pattern or poset before its size check; they run
-    # only under the cap, so a regression fails with MemoryError instead of
-    # exhausting the machine's memory
+    # each built, or would build without its early size check, a huge pattern,
+    # poset or family; they run only under the cap, so a regression fails with
+    # MemoryError instead of exhausting the machine's memory
     @pytest.mark.parametrize(
         "argv",
         [
@@ -241,6 +254,8 @@ class TestOversizedInputs:
             ("la", "--n", "3", "--poset", "huge.poset"),
             ("vex", "--n", "3", "--pattern", "K100000"),
             ("vex", "--n", "3", "--pattern", "M100000000"),
+            ("la", "--n", "3", "--poset", "K1000000000,1,1"),
+            ("cyclecheck", "--n", "30"),
         ],
     )
     def test_exit_2_with_one_line_before_building(self, tmp_path, argv):

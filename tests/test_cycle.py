@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from knvex.cycle import (
-    CyclicPerm,
+    _interval_sets,
     certified_log_ceil,
     cycle_upper_bound,
-    cyclic_perms,
     double_count_check,
+    interval_masks,
     shift_constant,
     weight,
 )
@@ -18,40 +18,30 @@ from knvex.sets import Family, binom_tail, level_slice, mask_of, random_family
 from oracles import is_cyclic_interval
 
 
-class TestCyclicPerm:
-    def test_canonical_rotation(self):
-        assert CyclicPerm((2, 3, 1)).order == (1, 2, 3)
-        assert CyclicPerm((3, 1, 2)) == CyclicPerm((1, 2, 3))
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            CyclicPerm((1, 1, 2))
+class TestIntervalMasks:
+    def test_interval_masks_count(self):
+        for n in range(1, 7):
+            assert len(interval_masks(tuple(range(1, n + 1)))) == n * (n - 1) + 1
 
     def test_canonical_count(self):
-        for n in range(2, 6):
-            assert len(set(cyclic_perms(n))) == math.factorial(n - 1)
+        # one entry per cyclic permutation: the (n-1)! orders that start at 1
+        for n in range(1, 8):
+            assert len(_interval_sets(n)) == math.factorial(n - 1)
 
-    def test_interval_masks_count(self):
-        for n in range(2, 7):
-            perm = CyclicPerm.identity(n)
-            assert len(perm.interval_masks) == n * (n - 1) + 1
-
-
-class TestIntervalMasks:
     def test_examples(self):
-        masks = CyclicPerm((1, 3, 2)).interval_masks
+        masks = interval_masks((1, 3, 2))
         assert mask_of([3, 1], 3) in masks
         assert mask_of([1, 2], 3) in masks  # wraps around
-        assert mask_of([1, 3], 4) not in CyclicPerm.identity(4).interval_masks
+        assert mask_of([1, 3], 4) not in interval_masks((1, 2, 3, 4))
         # a singleton has no break between positions but is an interval
         assert mask_of([2], 3) in masks
 
     def test_empty_set_is_not_an_interval(self):
         for n in range(1, 8):
-            assert 0 not in CyclicPerm.identity(n).interval_masks
+            assert 0 not in interval_masks(tuple(range(1, n + 1)))
 
     def test_full_set_is_an_interval(self):
-        assert (1 << 4) - 1 in CyclicPerm.identity(4).interval_masks
+        assert (1 << 4) - 1 in interval_masks((1, 2, 3, 4))
 
     def test_agrees_with_rotation_oracle(self):
         rng = random.Random(2)
@@ -59,17 +49,16 @@ class TestIntervalMasks:
             for _ in range(20):
                 order = list(range(1, n + 1))
                 rng.shuffle(order)
-                perm = CyclicPerm(tuple(order))
+                masks = interval_masks(tuple(order))
                 for mask in range(1, 1 << n):
-                    assert (mask in perm.interval_masks) == is_cyclic_interval(mask, perm.order)
+                    assert (mask in masks) == is_cyclic_interval(mask, order)
 
     def test_interval_count_per_set(self):
         # a set with 0 < |S| < n is an interval of exactly |S|! (n-|S|)!
-        # canonical cyclic permutations
+        # cyclic permutations
         for n in range(1, 8):
-            perms = list(cyclic_perms(n))
             for mask in range(1, (1 << n) - 1):
-                count = sum(1 for p in perms if mask in p.interval_masks)
+                count = sum(1 for masks in _interval_sets(n) if mask in masks)
                 s = mask.bit_count()
                 assert count == math.factorial(s) * math.factorial(n - s)
 

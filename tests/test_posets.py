@@ -28,7 +28,7 @@ from knvex.posets import (
 )
 from knvex.sets import Family, complement, family_complement, level_slice, mask_of
 
-from oracles import automorphism_orbit_minima, poset_copy_exists
+from oracles import automorphism_orbit_minima, poset_copy_exists, transitive_closure
 
 NAMED_POSETS = {
     "chain2": chain(2),
@@ -63,8 +63,25 @@ class TestPosetBasics:
         assert p.less(0, 2)
 
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^relation \(1,0\) closes a cycle$"):
             Poset.from_relations(2, [(0, 1), (1, 0)])
+
+    def test_from_relations_is_the_transitive_closure(self):
+        rng = random.Random(11)
+        outcomes = set()
+        for _ in range(1000):
+            size = rng.randint(1, 6)
+            pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(0, 9))]
+            pairs = [(p, q) for p, q in pairs if p != q]
+            closure = transitive_closure(size, pairs)
+            cyclic = any(closure[p] >> p & 1 for p in range(size))
+            outcomes.add(cyclic)
+            if cyclic:
+                with pytest.raises(ValueError, match="closes a cycle"):
+                    Poset.from_relations(size, pairs)
+            else:
+                assert Poset.from_relations(size, pairs).above == tuple(closure)
+        assert outcomes == {False, True}
 
     def test_covers_drop_implied_relations(self):
         p = chain(3)
@@ -601,13 +618,42 @@ class TestNamedAndText:
             ("e 3\n0 < 1\n2 < 2\n", "line 3: reflexive relation at 2"),
             ("\ne 0\n", "line 2: poset size must be 1..16"),
             ("e 17\n0 < 1\n", "line 1: poset size must be 1..16"),
+            # a cycle is named at the line that closes it
+            ("e 3\n0 < 1\n1 < 0\n", "line 3: relation (1,0) closes a cycle"),
+            ("e 4\n0 < 1\n1 < 2\n2 < 3\n3 < 0\n", "line 5: relation (3,0) closes a cycle"),
         ],
-        ids=["header", "token", "width", "range", "reflexive", "size", "size-before-relations"],
+        ids=[
+            "header",
+            "token",
+            "width",
+            "range",
+            "reflexive",
+            "size",
+            "size-before-relations",
+            "two-line-cycle",
+            "four-cycle",
+        ],
     )
     def test_text_errors_name_the_line(self, text, message):
         with pytest.raises(ValueError) as info:
             poset_from_text(text)
         assert str(info.value) == message
+
+    def test_random_cycles_are_named_at_their_first_cyclic_prefix(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            size = rng.randint(2, 6)
+            pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randint(1, 9))]
+            pairs = [(p, q) for p, q in pairs if p != q]
+            text = f"e {size}\n" + "".join(f"{p} < {q}\n" for p, q in pairs)
+            for end in range(1, len(pairs) + 1):
+                closure = transitive_closure(size, pairs[:end])
+                if any(closure[p] >> p & 1 for p in range(size)):
+                    with pytest.raises(ValueError, match=f"^line {end + 1}: "):
+                        poset_from_text(text)
+                    break
+            else:
+                assert poset_from_text(text).above == tuple(transitive_closure(size, pairs))
 
     def test_closure_on_load(self):
         p = poset_from_text("e 3\n0 < 1\n1 < 2\n")
