@@ -131,8 +131,12 @@ def _cmd_eposet(args) -> tuple[RunReport, int]:
     return RunReport("eposet", {"poset": args.poset, "nmax": args.nmax}, results), code
 
 
+# one --flag per parameter name any construction takes: k, r and x
+_CONSTRUCTION_KEYS = sorted({key for keys in CONSTRUCTION_PARAMETERS.values() for key in keys})
+
+
 def _cmd_verify(args) -> tuple[RunReport, int]:
-    params = {key: getattr(args, key) for key in ("k", "r", "x") if getattr(args, key) is not None}
+    params = {key: value for key, value in vars(args).items() if key in _CONSTRUCTION_KEYS}
     nc = build_construction(args.construction, args.n, **params)
     verdict = verify_construction(nc)
     report = RunReport(
@@ -218,9 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="size formula and freeness check for a named construction")
     p.add_argument("--construction", choices=CONSTRUCTION_PARAMETERS, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--x", type=int, default=None)
+    for key in _CONSTRUCTION_KEYS:
+        p.add_argument(f"--{key}", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cyclecheck", help="double-counting identity over all cyclic permutations")

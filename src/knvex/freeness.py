@@ -32,17 +32,19 @@ uses the same argument: a host that fails for the first vertex, by its
 degree, by forward checking or in its subsearch, leaves the domains of that
 vertex's whole orbit (_embed says why each failure proves it).
 
-A static search also prunes by the host family's own symmetry, found and so
-checked by _symmetry_blocks.  Call a transposition (i j) of [n] good when it
-maps the family onto itself.  If (i j) and (j k) are good, so is (i k) =
-(i j)(j k)(i j); so the good transpositions split [n] into blocks, testing
-an element against one element of each block found so far decides where it
-goes, and they generate the product of the blocks' symmetric groups.  Under
-that group Y lies in X's class iff |Y & b| = |X & b| for every block b.  A
-relabelling that keeps the family maps a copy with the first vertex on h to
-one with it on the image of h, so a host fails for the first vertex iff its
-whole class does.  Candidates run in index order, so each class is first
-tried at its smallest member and the copy found is the plain search's.
+A static search (_static_copy, graphs and posets alike) also prunes by the
+host family's own symmetry, found and so checked by _symmetry_blocks.  Call
+a transposition (i j) of [n] good when it maps the family onto itself.  If
+(i j) and (j k) are good, so is (i k) = (i j)(j k)(i j); so the good
+transpositions split [n] into blocks, testing an element against one element
+of each block found so far decides where it goes, and they generate the
+product of the blocks' symmetric groups.  Under that group Y lies in X's
+class iff |Y & b| = |X & b| for every block b.  A relabelling of [n] keeps
+disjointness and inclusion alike, so one that keeps the family maps a copy
+with the first vertex on h to one with it on the image of h, and a host
+fails for the first vertex iff its whole class does.  Candidates run in
+index order, so each class is first tried at its smallest member and the
+copy found is the plain search's.
 
 The transpositions are tested on the family's indicator I = sum of 2^m over
 the members, a 2^n-bit int: with has_x the positions whose bit x is set,
@@ -106,22 +108,13 @@ def check_witness(fam: Family, pattern: PatternGraph, copy: dict[int, int]) -> b
     return all(kneser_adjacent(copy[u], copy[v]) for u, v in pattern.edges)
 
 
-def _route(relations, order) -> tuple:
+def _route(first, order) -> tuple:
     """(v, need, later) per position of order: later lists the vertices
-    placed after v in v's row of relations[0], and need is that row's size.
-
-    The search checks relations[0] alone, from the earlier vertex of each
-    related pair, so v's rows in the other relations may only hold vertices
-    placed before v.  An order that breaks this rule raises ValueError.
-    """
-    first, *others = relations
-    steps = []
-    for pos, v in enumerate(order):
-        after = order[pos + 1:]
-        if any(rel[v] >> u & 1 for rel in others for u in after):
-            raise ValueError(f"vertex {v} is related to a later vertex outside relations[0]")
-        steps.append((v, first[v].bit_count(), tuple(u for u in after if first[v] >> u & 1)))
-    return tuple(steps)
+    placed after v in v's row of first, and need is that row's size."""
+    return tuple(
+        (v, first[v].bit_count(), tuple(u for u in order[pos + 1:] if first[v] >> u & 1))
+        for pos, v in enumerate(order)
+    )
 
 
 class _Plan:
@@ -131,18 +124,28 @@ class _Plan:
     to in relation r; a copy sends them into the host row of v's image in
     relation r.  Graphs have (adjacency,), posets (above, below).
 
+    The search checks relations[0] alone, from the earlier vertex of each
+    related pair, so v's rows in the other relations may only hold vertices
+    placed before v: an order that breaks this rule raises ValueError.
     route is (order, steps) with steps from _route.  forced_routes[p] is the
-    same with p moved to the front, for searches that pin p: every vertex
-    related to p then comes later, so the first step holds (r, need,
-    related) for each relation r.  orbits are the automorphism orbits, by
-    smallest label; first_orbit is the one holding route's first vertex.
+    same with p moved to the front, for searches that pin p; it places no
+    vertex later than order does, so it keeps the rule, and its first step
+    holds (r, need, related) for each relation r.  orbits are the
+    automorphism orbits, by smallest label; first_orbit is the one holding
+    route's first vertex.
     """
 
     def __init__(self, relations, order):
-        size = len(relations[0])
+        first, *others = relations
+        size = len(first)
         order = tuple(order)
+        placed = 0
+        for v in order:
+            placed |= 1 << v
+            if any(rel[v] & ~placed for rel in others):
+                raise ValueError(f"vertex {v} is related to a later vertex outside relations[0]")
         self.size = size
-        self.route = (order, _route(relations, order))
+        self.route = (order, _route(first, order))
         forced_routes = []
         for p in range(size):
             rest = tuple(v for v in order if v != p)
@@ -150,7 +153,7 @@ class _Plan:
                 (r, rel[p].bit_count(), tuple(u for u in rest if rel[p] >> u & 1))
                 for r, rel in enumerate(relations)
             )
-            forced_routes.append(((p, *rest), (pinned, *_route(relations, rest))))
+            forced_routes.append(((p, *rest), (pinned, *_route(first, rest))))
         self.forced_routes = tuple(forced_routes)
         # An injective structure-preserving map of a finite pattern into
         # itself is an automorphism, so p and q share an orbit iff the
@@ -315,17 +318,19 @@ def _symmetry_classes(fam: Family) -> list[int] | None:
     return [masks[key] for key in keys]
 
 
-def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
-    """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent.
-
-    The first vertex is tried on one host per class of the family's own
-    symmetry (_symmetry_classes), and the copy returned is the one the plain
-    search returns.
-    """
-    members = fam.members
-    rows = (InducedKneser(fam).neighbor_mask,)
-    assign = _embed(_graph_plan(pattern), len(members), rows, classes=_symmetry_classes(fam))
+def _static_copy(plan: _Plan, host: InducedKneser) -> dict[int, int] | None:
+    """The plain search's copy of the plan's pattern in a static host, vertex ->
+    member mask, or None; the first vertex is tried on one member per class
+    of _symmetry_classes(host.vertices), and only host.neighbor_mask is read."""
+    members = host.vertices.members
+    classes = _symmetry_classes(host.vertices)
+    assign = _embed(plan, len(members), (host.neighbor_mask,), classes=classes)
     return None if assign is None else {v: members[i] for v, i in assign.items()}
+
+
+def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
+    """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent."""
+    return _static_copy(_graph_plan(pattern), InducedKneser(fam))
 
 
 def is_free(fam: Family, pattern: PatternGraph) -> bool:
@@ -390,8 +395,6 @@ class _CheckerBase:
         count = len(self._masks)
         rows = self._row_getters
         for plan, pinned in self._searches:
-            if plan.size > count:
-                continue
             for p in pinned:
                 if _embed(plan, count, rows, (p, new_index)) is not None:
                     return True

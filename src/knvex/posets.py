@@ -8,9 +8,10 @@ obstruct pattern copies in the Kneser cube.  This module owns
   * weak-copy detection in families (order-preserving injections; an
     injection makes every required inclusion proper automatically), through
     the embedding engine of freeness.py with a linear extension as the
-    order, so only "above" is checked along it: a static search builds the
-    superset rows alone, the incremental checker also the subset rows its
-    pinned pushes read,
+    order, so only "above" is checked along it: a static search is the graph
+    one, on a host whose lazy rows hold proper supersets (_SupersetHost),
+    and the incremental checker also keeps the subset rows its pinned
+    pushes read,
   * La(n, *) exact maximization at desk scale via the shared search engine,
   * bounded certification of e(P), the number of consecutive Boolean-cube
     levels that stay P-free,
@@ -19,10 +20,11 @@ obstruct pattern copies in the Kneser cube.  This module owns
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freeness import _CheckerBase, _embed, _Plan, check_witness
+from .freeness import InducedKneser, _CheckerBase, _Plan, _static_copy, check_witness
 from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
 from .sets import (
     Family,
@@ -187,23 +189,25 @@ def crown(m: int) -> Poset:
     """The height-2 poset whose Hasse diagram is the cycle on m vertices (m even >= 4)."""
     if m < 4 or m % 2:
         raise ValueError("crown needs an even cycle length >= 4")
+    _check_size(m)  # before the cycle pattern is built
     return poset_from_bipartite(make_pattern("cycle", m))
+
+
+_SIZED_NAME_RE = re.compile(r"(crown|chain|antichain)(\d+)")
+_THREE_LEVEL_RE = re.compile(r"K(\d+),1,(\d+)")
 
 
 def named_poset(name: str) -> Poset:
     """Resolve CLI poset names: butterfly, crown6, chain3, antichain4, V, Lambda, K2,1,3."""
-    if name == "butterfly":
-        return butterfly()
-    if name == "V":
-        return v_poset()
-    if name == "Lambda":
-        return lambda_poset()
-    for prefix, builder in (("crown", crown), ("chain", chain), ("antichain", antichain)):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return builder(int(name[len(prefix):]))
-    parts = name.split(",")
-    if len(parts) == 3 and parts[0].startswith("K") and parts[1] == "1":
-        return complete_three_level(int(parts[0][1:]), int(parts[2]))
+    fixed = {"butterfly": butterfly, "V": v_poset, "Lambda": lambda_poset}
+    if name in fixed:
+        return fixed[name]()
+    m = _SIZED_NAME_RE.fullmatch(name)
+    if m:
+        return {"crown": crown, "chain": chain, "antichain": antichain}[m[1]](int(m[2]))
+    m = _THREE_LEVEL_RE.fullmatch(name)
+    if m:
+        return complete_three_level(int(m[1]), int(m[2]))
     raise ValueError(f"unknown poset name {name!r}")
 
 
@@ -227,33 +231,25 @@ def poset_from_text(text: str) -> Poset:
     return Poset(size, tuple(above))
 
 
-def _superset_rows(members: tuple[int, ...]) -> list[int]:
-    """up[i]: indices of the proper supersets of member i.
-
-    Members ascend by mask and a proper superset has the larger mask, so
-    only later members are scanned.
-    """
-    count = len(members)
-    up = [0] * count
-    for i, mi in enumerate(members):
-        for j in range(i + 1, count):
-            if mi & members[j] == mi:
-                up[i] |= 1 << j
-    return up
-
-
 def _poset_plan(poset: Poset) -> _Plan:
     """Above/below plan along the linear extension: every later related element lies above."""
     return _Plan((poset.above, poset.below), poset.linear_extension)
 
 
+class _SupersetHost(InducedKneser):
+    """Row i holds the proper supersets of member i: X contains m properly iff
+    the complement of X lies properly inside that of m, so with members keyed
+    by their complements the walk over the submasks of m's complement finds
+    exactly them."""
+
+    def __init__(self, vertices: Family):
+        super().__init__(vertices)
+        self._index = {complement(m, self.n): i for m, i in self._index.items()}
+
+
 def contains_poset_copy(fam: Family, poset: Poset) -> dict[int, int] | None:
     """Search for a weak copy of the poset, element -> member mask; None if absent."""
-    members = fam.members
-    # an unforced search reads only rows[0], the sets above
-    up = _superset_rows(members)
-    assign = _embed(_poset_plan(poset), len(members), (up.__getitem__,))
-    return None if assign is None else {e: members[i] for e, i in assign.items()}
+    return _static_copy(_poset_plan(poset), _SupersetHost(fam))
 
 
 class IncrementalPosetChecker(_CheckerBase):
@@ -399,22 +395,12 @@ def e_of_poset(poset: Poset, n_max: int) -> LevelCertification:
         raise ValueError("level certification budget is n_max <= 12")
     validate_ground(n_max)
 
-    def find_copy(k: int):
+    for k in range(1, n_max + 1):
         for n in range(1, n_max + 1):
             for j in range(0, n - k + 2):  # the window of levels j..j+k-1
-                fam = level_slice(n, j, j + k - 1)
-                copy = contains_poset_copy(fam, poset)
+                copy = contains_poset_copy(level_slice(n, j, j + k - 1), poset)
                 if copy is not None:
-                    return copy, n, j
-        return None
-
-    k = 1
-    while k <= n_max:
-        hit = find_copy(k)
-        if hit is not None:
-            copy, n, lowest = hit
-            return LevelCertification(k - 1, copy, n, lowest)
-        k += 1
+                    return LevelCertification(k - 1, copy, n, j)
     return LevelCertification(n_max, None, None, None)
 
 

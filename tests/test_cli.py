@@ -77,6 +77,11 @@ class TestExitCodes:
             ("vex", "--n", "3", "--pattern", "header.pattern"),
             # a cycle closed only by the relation on line 3
             ("la", "--n", "3", "--poset", "cyclic.poset"),
+            # malformed names, refused as names, and a crown too long to be a poset
+            ("la", "--n", "3", "--poset", "K,1,3"),
+            ("la", "--n", "3", "--poset", "K2,1,"),
+            ("la", "--n", "3", "--poset", "K2,1,3x"),
+            ("la", "--n", "3", "--poset", "crown18"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):

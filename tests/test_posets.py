@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from knvex import posets, search
-from knvex.freeness import _embed, _Plan, check_witness
+from knvex.freeness import InducedKneser, _embed, _Plan, _symmetry_classes, check_witness
 from knvex.patterns import Bipartition, bipartition, make_pattern, parse_pattern
 from knvex.posets import (
     CollisionError,
@@ -26,7 +26,7 @@ from knvex.posets import (
     poset_to_text,
     v_poset,
 )
-from knvex.sets import Family, complement, family_complement, level_slice, mask_of
+from knvex.sets import Family, complement, family_complement, level_slice, mask_of, upset
 
 from oracles import automorphism_orbit_minima, poset_copy_exists, transitive_closure
 
@@ -195,19 +195,68 @@ class TestContainsPosetCopy:
             raise AssertionError("an unforced search read rows[1]")
 
         rng = random.Random(53)
-        for _ in range(40):
+        for trial in range(60):
             n = rng.randint(1, 6)
-            masks = rng.sample(range(1 << n), rng.randint(0, min(8, 1 << n)))
+            masks = set(rng.sample(range(1 << n), rng.randint(0, min(8, 1 << n))))
+            if trial % 3 == 0:
+                masks |= {0, (1 << n) - 1}
             fam = Family.of(n, masks)
             members = fam.members
             up = [
                 sum(1 << j for j, b in enumerate(members) if a != b and a & b == a)
                 for a in members
             ]
-            assert posets._superset_rows(members) == up
+            host = posets._SupersetHost(fam)
+            assert [host.neighbor_mask(i) for i in range(len(members))] == up
             for poset in NAMED_POSETS.values():
-                got = _embed(posets._poset_plan(poset), len(members), (up.__getitem__, below))
+                rows = (host.neighbor_mask, below)
+                got = _embed(posets._poset_plan(poset), len(members), rows)
                 assert (got is not None) == poset_copy_exists(members, poset)
+
+    def test_pruned_search_returns_the_plain_copy(self):
+        # host classes are found from the family, and a relabelling of [n]
+        # that keeps it keeps inclusion, so each class is tried once
+        names = ["butterfly", "V", "Lambda", "chain3", "crown4", "crown6", "antichain3"]
+        named = [named_poset(name) for name in names + ["K1,1,3", "K2,1,2"]]
+        rng = random.Random(41)
+        hosts = []
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            lo = rng.randint(0, n)
+            hosts.append(level_slice(n, lo, rng.randint(lo, n)))
+            hosts.append(upset(Family.of(n, rng.sample(range(1 << n), rng.randint(1, 2)))))
+            hosts.append(Family.of(n, [m for m in range(1 << n) if rng.random() < 0.5]))
+        symmetric = 0
+        for fam in hosts:
+            symmetric += _symmetry_classes(fam) is not None
+            for poset in named:
+                got = contains_poset_copy(fam, poset)
+                rows = (posets._SupersetHost(fam).neighbor_mask,)
+                plain = _embed(posets._poset_plan(poset), len(fam), rows, classes=None)
+                if plain is not None:
+                    plain = {e: fam.members[i] for e, i in plain.items()}
+                assert got == plain
+        assert symmetric > 40
+
+    @pytest.mark.parametrize(
+        "name, n_max, built",
+        [("K2,3", 6, 252), ("butterfly", 8, 1002), ("K2,1,2", 8, 912)],
+    )
+    def test_superset_rows_built_by_e_of_poset(self, monkeypatch, name, n_max, built):
+        # rows are built lazily, first vertex once per host class; built
+        # eagerly for every member, these were 409, 1525 and 1557
+        poset = poset_from_bipartite(parse_pattern(name)) if name == "K2,3" else named_poset(name)
+        rows = []
+        neighbor_mask = InducedKneser.neighbor_mask
+
+        def counted(host, i):
+            if i not in host._rows:
+                rows.append(i)
+            return neighbor_mask(host, i)
+
+        monkeypatch.setattr(InducedKneser, "neighbor_mask", counted)
+        e_of_poset(poset, n_max)
+        assert len(rows) == built
 
     def test_plan_rejects_an_order_with_a_later_element_below(self):
         # the search checks only "above" along the route, so an element placed
@@ -603,6 +652,20 @@ class TestNamedAndText:
         assert named_poset("K2,1,3") == complete_three_level(2, 3)
         with pytest.raises(ValueError):
             named_poset("hexagon")
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("K,1,3", "unknown poset name 'K,1,3'"),
+            ("K2,1,", "unknown poset name 'K2,1,'"),
+            ("K2,1,3x", "unknown poset name 'K2,1,3x'"),
+            ("crown18", "poset size must be 1..16"),
+        ],
+    )
+    def test_malformed_names_are_refused_by_name(self, name, message):
+        with pytest.raises(ValueError) as caught:
+            named_poset(name)
+        assert str(caught.value) == message
 
     def test_text_round_trip(self):
         for poset in (butterfly(), chain(4), complete_three_level(2, 2)):
