@@ -161,11 +161,11 @@ def _cmd_cyclecheck(args) -> tuple[RunReport, int]:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

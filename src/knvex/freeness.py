@@ -39,12 +39,13 @@ a transposition (i j) of [n] good when it maps the family onto itself.  If
 transpositions split [n] into blocks, testing an element against one element
 of each block found so far decides where it goes, and they generate the
 product of the blocks' symmetric groups.  Under that group Y lies in X's
-class iff |Y & b| = |X & b| for every block b.  A relabelling of [n] keeps
-disjointness and inclusion alike, so one that keeps the family maps a copy
-with the first vertex on h to one with it on the image of h, and a host
-fails for the first vertex iff its whole class does.  Candidates run in
-index order, so each class is first tried at its smallest member and the
-copy found is the plain search's.
+class iff |Y & b| = |X & b| for every block b: sets.young_classes, the one
+statement of that rule, which the search's orbital bans use too.  A
+relabelling of [n] keeps disjointness and inclusion alike, so one that keeps
+the family maps a copy with the first vertex on h to one with it on the
+image of h, and a host fails for the first vertex iff its whole class does.
+Candidates run in index order, so each class is first tried at its smallest
+member and the copy found is the plain search's.
 
 The transpositions are tested on the family's indicator I = sum of 2^m over
 the members, a 2^n-bit int: with has_x the positions whose bit x is set,
@@ -61,7 +62,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .patterns import PatternGraph
-from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask
+from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask, young_classes
 
 MAX_VERTICES = 1 << 20
 
@@ -293,7 +294,7 @@ def _symmetry_blocks(fam: Family) -> list[int]:
 
 def _symmetry_classes(fam: Family) -> list[int] | None:
     """Per member index, the bitmask of the member indices in its host class:
-    those with as many elements as it in every block of _symmetry_blocks.
+    young_classes of the members under the blocks of _symmetry_blocks.
     None when every block is a singleton, or when 2^n > 2 * MAX_VERTICES
     (the block test's memory bound)."""
     if 1 << fam.n > 2 * MAX_VERTICES:
@@ -301,21 +302,7 @@ def _symmetry_classes(fam: Family) -> list[int] | None:
     blocks = _symmetry_blocks(fam)
     if len(blocks) == fam.n:
         return None
-    members = fam.members
-    if len(blocks) == 1:
-        keys = list(map(int.bit_count, members))
-    else:
-        keys = list(zip(*([(m & b).bit_count() for m in members] for b in blocks)))
-    size = len(members)
-    # one bytearray per class: or-ing bits into a big int one at a time is quadratic
-    bits: dict[object, bytearray] = {}
-    for i, key in enumerate(keys):
-        row = bits.get(key)
-        if row is None:
-            row = bits[key] = bytearray((size + 7) // 8)
-        row[i >> 3] |= 1 << (i & 7)
-    masks = {key: int.from_bytes(row, "little") for key, row in bits.items()}
-    return [masks[key] for key in keys]
+    return young_classes(fam.members, blocks)
 
 
 def _static_copy(plan: _Plan, host: InducedKneser) -> dict[int, int] | None:

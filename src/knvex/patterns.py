@@ -122,32 +122,38 @@ def parse_pattern(name: str) -> PatternGraph:
     raise ValueError(f"unknown pattern name {name!r}")
 
 
+def _double_cover_distances(graph: PatternGraph, start: int) -> dict[tuple[int, int], int]:
+    """BFS distances from (start, 0) on the bipartite double cover, whose
+    nodes are (vertex, parity) and whose edges flip the parity."""
+    dist = {(start, 0): 0}
+    queue = deque([(start, 0)])
+    while queue:
+        v, parity = queue.popleft()
+        for u in graph.neighbors(v):
+            node = (u, 1 - parity)
+            if node not in dist:
+                dist[node] = dist[(v, parity)] + 1
+                queue.append(node)
+    return dist
+
+
 def bipartition(graph: PatternGraph) -> Bipartition | None:
     """2-color the graph if bipartite, else None.
 
     Canonical choice: within each component, the color class holding the
-    lowest-numbered vertex goes to side_a.
+    lowest-numbered vertex goes to side_a.  A component is bipartite iff its
+    smallest vertex has no odd walk to itself; then each vertex has one parity.
     """
-    color = [-1] * graph.vertex_count
-    side_a, side_b = set(), set()
+    sides: tuple[set[int], set[int]] = (set(), set())
     for start in range(graph.vertex_count):
-        if color[start] != -1:
+        if start in sides[0] or start in sides[1]:
             continue
-        color[start] = 0
-        comp = {0: [start], 1: []}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in graph.neighbors(v):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    comp[color[u]].append(u)
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-        side_a.update(comp[0])
-        side_b.update(comp[1])
-    return Bipartition(frozenset(side_a), frozenset(side_b))
+        dist = _double_cover_distances(graph, start)
+        if (start, 1) in dist:
+            return None
+        for v, parity in dist:
+            sides[parity].add(v)
+    return Bipartition(frozenset(sides[0]), frozenset(sides[1]))
 
 
 @lru_cache(maxsize=None)
@@ -157,22 +163,8 @@ def odd_girth(graph: PatternGraph) -> int | None:
     BFS on the bipartite double cover: the shortest odd closed walk through v
     is the (v,0) -> (v,1) distance, and a shortest odd closed walk is a cycle.
     """
-    best = None
-    for start in range(graph.vertex_count):
-        dist = {(start, 0): 0}
-        queue = deque([(start, 0)])
-        while queue:
-            v, parity = queue.popleft()
-            for u in graph.neighbors(v):
-                node = (u, 1 - parity)
-                if node not in dist:
-                    dist[node] = dist[(v, parity)] + 1
-                    queue.append(node)
-        if (start, 1) in dist:
-            d = dist[(start, 1)]
-            if best is None or d < best:
-                best = d
-    return best
+    dists = (_double_cover_distances(graph, v) for v in range(graph.vertex_count))
+    return min((dist[(v, 1)] for v, dist in enumerate(dists) if (v, 1) in dist), default=None)
 
 
 def is_matching(graph: PatternGraph) -> bool:

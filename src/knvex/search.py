@@ -33,14 +33,15 @@ the oracle's verdict is invariant under it (the caller asserts so with
 relabel_invariant=True), so is the problem over 2^[n].  Along a search path
 let C be the chosen sets.  The permutations fixing every set of C form the
 Young subgroup of the Venn atoms of C, and Y lies in the orbit of X iff
-|Y & a| = |X & a| for every atom a (in symmetric mode the group acts on
-complement pairs).  When a unit X takes its exclude branch, every undecided
-unit of its orbit is banned for the rest of that subtree: it skips its
-include branch and leaves the count + remaining bound.  Nothing is lost.
-Order the families by the visit order, include before exclude, and let F be
-the first free family of size s.  Suppose a ban in the exclude branch of X
-removes a unit Y of F from F's path, where C is F's units before X.  A
-permutation fixing C maps Y to X and F to a free family of size s that
+|Y & a| = |X & a| for every atom a: sets.young_classes, the one statement of
+that rule, which the static freeness checks use too (in symmetric mode the
+group acts on complement pairs).  When a unit X takes its exclude branch,
+every undecided unit of its orbit is banned for the rest of that subtree: it
+skips its include branch and leaves the count + remaining bound.  Nothing is
+lost.  Order the families by the visit order, include before exclude, and
+let F be the first free family of size s.  Suppose a ban in the exclude
+branch of X removes a unit Y of F from F's path, where C is F's units before
+X.  A permutation fixing C maps Y to X and F to a free family of size s that
 holds C and X: it holds a unit before X that F lacks, or agrees with F
 before X and holds X, so it comes before F, a contradiction.  So no
 ban touches the first family of any size, and no bound below its size
@@ -64,12 +65,11 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 
 from . import constructions, freeness, posets
 from .cycle import cycle_upper_bound
 from .patterns import PatternGraph, is_matching, odd_girth
-from .sets import Family, family_complement, level_slice, validate_ground
+from .sets import Family, family_complement, level_slice, validate_ground, young_classes
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,12 @@ def max_family_avoiding(
 
     unit_bounds, limits, used = _partition_bounds(units, partitions)
     # Venn atoms of the chosen sets; n singletons (the trivial group) turn
-    # orbital pruning off.  unit_of and orbits serve _orbit_units.
-    if relabel_invariant:
-        atoms: tuple[int, ...] = (full,)
-        unit_of = {m: j for j, unit in enumerate(units) for m in unit}
-    else:
-        atoms = tuple(1 << b for b in range(n))
-        unit_of = {}
-    orbits: dict[tuple, int] = {}
+    # orbital pruning off.  reps lists the units' sets, unit j's second set
+    # at j + len(units), and orbits caches young_classes(reps, atoms).
+    atoms: tuple[int, ...] = (full,) if relabel_invariant else tuple(1 << b for b in range(n))
+    reps = [unit[0] for unit in units] + [unit[1] for unit in units if len(unit) > 1]
+    unit_span = (1 << len(units)) - 1
+    orbits: dict[tuple[int, ...], list[int]] = {}
     nodes = 0
     halted = exhausted = False
     chosen: list[int] = []
@@ -226,10 +224,13 @@ def max_family_avoiding(
                     checker.pop()
         # the exclude branch of node i
         if len(atoms) < n and not banned >> i & 1:
-            key = (atoms, i)
-            orbit = orbits.get(key)
-            if orbit is None:
-                orbit = orbits[key] = _orbit_units(atoms, units[i][0], unit_of)
+            classes = orbits.get(atoms)
+            if classes is None:
+                classes = orbits[atoms] = young_classes(reps, atoms)
+            # a relabelling keeps complements, so unit j's pair lies in unit
+            # i's orbit iff either of its sets has the atom sizes of units[i][0]
+            c = classes[i]
+            orbit = (c | c >> len(units)) & unit_span
             # the orbit's other units all come later and none is banned yet:
             # an earlier or banned one would have banned unit i with it
             new = orbit ^ (1 << i)
@@ -247,19 +248,6 @@ def max_family_avoiding(
 
 # Searches with a deadline look at the clock once every 1024 nodes.
 _CHECK_EVERY = 1023
-
-
-def _orbit_units(atoms: tuple[int, ...], mask: int, unit_of: dict[int, int]) -> int:
-    """Bitmask of the units holding a set Y with |Y & a| = |mask & a| for
-    every atom a: mask's orbit under the permutations fixing every atom."""
-    choices = []
-    for a in atoms:
-        bits = [1 << b for b in range(a.bit_length()) if a >> b & 1]
-        choices.append([sum(c) for c in combinations(bits, (mask & a).bit_count())])
-    orbit = 0
-    for parts in product(*choices):
-        orbit |= 1 << unit_of[sum(parts)]
-    return orbit
 
 
 def _partition_bounds(units, partitions):

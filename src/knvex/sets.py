@@ -140,6 +140,26 @@ def symmetric_chains(n: int) -> list[tuple[int, ...]]:
     return chains
 
 
+def young_classes(masks, blocks) -> list[int]:
+    """Per index i, the bitmask of the indices j with |masks[j] & b| =
+    |masks[i] & b| for every block b: masks[i]'s class under the Young
+    subgroup of the blocks (a partition of [n]), the permutations keeping each."""
+    if len(blocks) == 1:
+        keys = list(map(int.bit_count, masks))
+    else:
+        keys = list(zip(*([(m & b).bit_count() for m in masks] for b in blocks)))
+    size = len(masks)
+    # one bytearray per class: or-ing bits into a big int one at a time is quadratic
+    bits: dict[object, bytearray] = {}
+    for i, key in enumerate(keys):
+        row = bits.get(key)
+        if row is None:
+            row = bits[key] = bytearray((size + 7) // 8)
+        row[i >> 3] |= 1 << (i & 7)
+    classes = {key: int.from_bytes(row, "little") for key, row in bits.items()}
+    return [classes[key] for key in keys]
+
+
 def binom_tail(n: int, m: int, direction: str = "le") -> int:
     """Exact sum of binomials: sum of C(n,i) for i <= m ("le") or i >= m ("ge")."""
     validate_ground(n)

@@ -4,7 +4,7 @@ Everything here enumerates injections or families directly and never calls
 the library's search code, so agreement is meaningful.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def subgraph_copy_exists(masks, pattern) -> bool:
@@ -97,3 +97,42 @@ def disjointness_edges(masks):
         if masks[i] & masks[j] == 0 and masks[i] != masks[j]:
             out.append((i, j))
     return out
+
+
+def orbit_units(atoms, mask: int, unit_of) -> int:
+    """Bitmask of the units holding a set Y with |Y & a| = |mask & a| for
+    every atom a: mask's orbit under the permutations fixing every atom,
+    each Y built from one choice of elements per atom.  unit_of maps every
+    set to the index of its unit."""
+    choices = []
+    for a in atoms:
+        bits = [1 << b for b in range(a.bit_length()) if a >> b & 1]
+        choices.append([sum(c) for c in combinations(bits, (mask & a).bit_count())])
+    orbit = 0
+    for parts in product(*choices):
+        orbit |= 1 << unit_of[sum(parts)]
+    return orbit
+
+
+def block_orbit_classes(masks, blocks, n: int) -> list[int]:
+    """Per index i, the bitmask of the indices j such that some permutation
+    of [n] keeping every block maps masks[i] to masks[j], by trying every
+    permutation of [n]."""
+    block_of = [next(k for k, b in enumerate(blocks) if b >> e & 1) for e in range(n)]
+    images = [set() for _ in masks]
+    for perm in permutations(range(n)):
+        if all(block_of[perm[e]] == block_of[e] for e in range(n)):
+            for i, m in enumerate(masks):
+                images[i].add(sum(1 << perm[e] for e in range(n) if m >> e & 1))
+    return [sum(1 << j for j, m in enumerate(masks) if m in image) for image in images]
+
+
+def shortest_odd_cycle(graph) -> int | None:
+    """Length of the shortest odd cycle, by trying every sequence of
+    distinct vertices of each odd length in turn; None when there is none."""
+    adjacent = set(graph.edges) | {(v, u) for u, v in graph.edges}
+    for length in range(3, graph.vertex_count + 1, 2):
+        for cycle in permutations(range(graph.vertex_count), length):
+            if all((cycle[k - 1], cycle[k]) in adjacent for k in range(length)):
+                return length
+    return None

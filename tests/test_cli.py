@@ -122,6 +122,15 @@ class TestExitCodes:
             main(list(argv))
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("text", ["3..x", "..3", "3..4..5"])
+    def test_malformed_ranges_are_usage_errors(self, capsys, text):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--pattern", "C5", "--n", text])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert f"argument --n: expected N or LO..HI, got {text!r}" in err
+        assert "_parse_range" not in err
+
 
 class TestReports:
     @pytest.mark.parametrize(

@@ -14,6 +14,12 @@ from knvex.patterns import (
     pattern_to_text,
 )
 
+from oracles import shortest_odd_cycle
+
+
+def random_graph(rng, nv, density):
+    return PatternGraph.make(nv, [p for p in combinations(range(nv), 2) if rng.random() < density])
+
 
 class TestMakePattern:
     def test_matching(self):
@@ -67,6 +73,26 @@ class TestBipartition:
         assert bip.side_a == frozenset({0, 1, 2})
         assert bip.side_b == frozenset()
 
+    def test_sides_split_every_edge_with_each_smallest_vertex_on_side_a(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            nv = rng.randint(1, 7)
+            g = random_graph(rng, nv, 0.3)
+            bip = bipartition(g)
+            if bip is None:
+                continue
+            assert bip.side_a | bip.side_b == frozenset(range(nv))
+            assert not bip.side_a & bip.side_b
+            assert all((u in bip.side_a) != (v in bip.side_a) for u, v in g.edges)
+            # the smallest vertex of each component: no path reaches a smaller one
+            for v in range(nv):
+                reach, frontier = {v}, [v]
+                while frontier:
+                    frontier = [u for w in frontier for u in g.neighbors(w) if u not in reach]
+                    reach.update(frontier)
+                if min(reach) == v:
+                    assert v in bip.side_a
+
 
 class TestOddGirth:
     def test_examples(self):
@@ -77,6 +103,21 @@ class TestOddGirth:
     def test_odd_cycles(self):
         for k in range(1, 7):
             assert odd_girth(make_pattern("cycle", 2 * k + 1)) == 2 * k + 1
+
+    def test_matches_the_shortest_odd_cycle(self):
+        # exhaustive on <= 5 vertices; at 6 and 7, a random odd cycle plus sparse random edges
+        for nv in range(1, 6):
+            pairs = list(combinations(range(nv), 2))
+            for bits in range(1 << len(pairs)):
+                g = PatternGraph.make(nv, [p for i, p in enumerate(pairs) if bits >> i & 1])
+                assert odd_girth(g) == shortest_odd_cycle(g)
+        rng = random.Random(19)
+        for _ in range(200):
+            nv = rng.randint(6, 7)
+            cycle = rng.sample(range(nv), rng.choice(range(3, nv + 1, 2)))
+            edges = [(cycle[k - 1], cycle[k]) for k in range(len(cycle))]
+            g = PatternGraph.make(nv, edges + list(random_graph(rng, nv, 0.1).edges))
+            assert odd_girth(g) == shortest_odd_cycle(g)
 
     def test_bipartite_iff_no_odd_girth(self):
         # exhaustive on <= 5 vertices, random sample at 6 and 7

@@ -24,9 +24,9 @@ from knvex.search import (
     vex_bounds,
     vex_exact,
 )
-from knvex.sets import Family, family_complement, level_slice
+from knvex.sets import Family, family_complement, level_slice, young_classes
 
-from oracles import max_family_size, subgraph_copy_exists
+from oracles import max_family_size, orbit_units, subgraph_copy_exists
 
 SMALL_PATTERNS = ["K3", "S2", "S3", "C5", "K2,3", "K4", "P4"]
 
@@ -349,6 +349,32 @@ class TestOrbitalPruning:
                     checker.push(m)
                 verdicts.append(checker.currently_free())
             assert verdicts[0] == verdicts[1] == is_free(fam, pattern)
+
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_young_classes_give_the_enumerated_orbits(self, symmetric):
+        # the driver's layout: unit j's sets sit at j and j + len(units) of reps,
+        # and unit i's orbit holds the units with a set in the class of units[i][0]
+        rng = random.Random(23)
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            ordered = sorted(range(full + 1), key=lambda m: (abs(2 * m.bit_count() - n), m))
+            if symmetric:
+                units = [(m, full ^ m) for m in ordered if m < full ^ m]
+            else:
+                units = [(m,) for m in ordered]
+            unit_of = {m: j for j, unit in enumerate(units) for m in unit}
+            reps = [unit[0] for unit in units] + [unit[1] for unit in units if len(unit) > 1]
+            for _ in range(20):
+                # the Venn atoms of up to four random chosen sets
+                atoms = (full,)
+                for _ in range(rng.randint(0, 4)):
+                    m = rng.randrange(full + 1)
+                    atoms = tuple(sorted(p for a in atoms for p in (a & m, a & ~m) if p))
+                classes = young_classes(reps, atoms)
+                for i, unit in enumerate(units):
+                    orbit = (classes[i] | classes[i] >> len(units)) & ((1 << len(units)) - 1)
+                    assert orbit == orbit_units(atoms, unit[0], unit_of)
 
 
 class TestSeedWork:

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -17,7 +18,10 @@ from knvex.sets import (
     mask_of,
     symmetric_chains,
     upset,
+    young_classes,
 )
+
+from oracles import block_orbit_classes
 
 
 def F(n, *sets):
@@ -115,6 +119,22 @@ class TestSymmetricChains:
             low = c[0].bit_count()
             assert [m.bit_count() for m in c] == list(range(low, n - low + 1))
             assert all(a & b == a for a, b in zip(c, c[1:]))
+
+
+class TestYoungClasses:
+    def test_matches_the_block_permutations(self):
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for _ in range(30):
+                # a random partition of [n] into blocks
+                labels = [rng.randrange(n) for _ in range(n)]
+                blocks = [sum(1 << e for e in range(n) if labels[e] == lab) for lab in set(labels)]
+                masks = rng.sample(range(1 << n), rng.randint(1, 1 << n))
+                assert young_classes(masks, blocks) == block_orbit_classes(masks, blocks, n)
+
+    def test_one_block_groups_by_size(self):
+        masks = [0, 1, 2, 3, 4, 7]
+        assert young_classes(masks, [7]) == [0b1, 0b10110, 0b10110, 0b1000, 0b10110, 0b100000]
 
 
 class TestBinomTail:
