@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -160,12 +161,17 @@ def _cmd_cyclecheck(args) -> tuple[RunReport, int]:
     return RunReport("cyclecheck", params, results), 0 if res.equal else 1
 
 
+def _parse_int(text: str) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    try:
-        return int(lo), int(hi if sep else lo)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}") from None
+    m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
+    return int(m[1]), int(m[2] or m[1])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vex", help="exact value or sandwich bounds for one pattern")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     p.add_argument("--pattern", required=True, help="named pattern (M2, S3, C5, K4, K2,3) or file")
     p.add_argument("--bounds", action="store_true", help="sandwich bounds, not the exact value")
     p.add_argument(
         "--budget",
-        type=int,
+        type=_parse_int,
         default=None,
         help="node budget for the complement-core search (run at 4 <= n <= 6; at most half)"
         " and the main search",
@@ -204,10 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("la", help="largest family avoiding the given posets")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     p.add_argument("--poset", action="append", required=True, help="named poset or file; repeatable")
     p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_parse_int, default=None)
     p.set_defaults(func=_cmd_la)
 
     p = sub.add_parser(
@@ -216,20 +222,20 @@ def build_parser() -> argparse.ArgumentParser:
         " e is only a lower bound checked at n <= --nmax (exit 1)",
     )
     p.add_argument("--poset", required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_parse_int, required=True)
     p.set_defaults(func=_cmd_eposet)
 
     p = sub.add_parser("verify", help="size formula and freeness check for a named construction")
     p.add_argument("--construction", choices=CONSTRUCTION_PARAMETERS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     for key in _CONSTRUCTION_KEYS:
-        p.add_argument(f"--{key}", type=int, default=argparse.SUPPRESS)
+        p.add_argument(f"--{key}", type=_parse_int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cyclecheck", help="double-counting identity over all cyclic permutations")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_int, required=True)
     p.add_argument("--family", default="random", help="family file or the literal 'random'")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_int, default=0)
     p.set_defaults(func=_cmd_cyclecheck)
 
     return parser

@@ -1,10 +1,12 @@
 """Generators for the extremal families, each with its exact size formula.
 
-build_construction pairs every generator with a closed-form size computed
-independently of the enumeration and with the pattern the family avoids; a
-mismatch between generator and formula is raised as a hard error, not a
-warning.  Freeness claims are certified separately (verify_construction and
-the search seeds run the subgraph checker).
+Each generator is its family's membership rule over the masks of 2^[n]
+(matching_extremal adds k complements to the star, e2_two_level is the
+upset of e2_core).  build_construction pairs it with a closed-form size, a
+binomial count computed apart from the generator, and with the pattern the
+family avoids; a mismatch between generator and formula is a hard error.
+Freeness claims are certified separately (verify_construction and the
+search seeds run the subgraph checker).
 """
 
 from __future__ import annotations
@@ -63,12 +65,7 @@ def star_family(n: int, x: int) -> Family:
     """All sets containing the fixed element x; pairwise intersecting."""
     _check_parameters("star", n, {"x": x})
     bit = 1 << (x - 1)
-    low_bits = bit - 1
-    masks = []
-    for rest in range(1 << (n - 1)):  # the other n-1 elements, packed around x
-        low = rest & low_bits
-        masks.append(low | (rest ^ low) << 1 | bit)
-    return Family.of(n, masks)
+    return Family.of(n, (m for m in range(1 << n) if m & bit))
 
 
 def matching_extremal(n: int, k: int) -> Family:
@@ -91,11 +88,9 @@ def bip_lower(n: int) -> Family:
     n/2 plus the floor(n/2)-sets containing element 1.
     """
     _check_parameters("bip_lower", n, {})
-    if n % 2 == 0:
-        return level_slice(n, n // 2, n)
-    masks = list(level_slice(n, (n + 1) // 2, n).members)
-    masks += [m for m in level_slice(n, n // 2, n // 2) if m & 1]
-    return Family.of(n, masks)
+    # 2|m| = n - 1 occurs only at odd n, where it marks the floor(n/2)-sets
+    return Family.of(n, (m for m in range(1 << n) if 2 * m.bit_count() >= n
+                         or 2 * m.bit_count() == n - 1 and m & 1))
 
 
 def threshold_family(n: int, k: int) -> Family:
@@ -167,18 +162,18 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
         generate = lambda: bip_lower(n)
     elif name == "threshold":
         k = params["k"]
-        size, claim = (1 << n) - binom_tail(n, k * n // (2 * k + 1), "le"), f"C{2 * k + 1}"
+        size, claim = binom_tail(n, k * n // (2 * k + 1) + 1), f"C{2 * k + 1}"
         generate = lambda: threshold_family(n, k)
     elif name == "clique_threshold":
         r = params["r"]
-        size, claim = (1 << n) - binom_tail(n, n // (r + 1), "le"), f"K{r + 1}"
+        size, claim = binom_tail(n, n // (r + 1) + 1), f"K{r + 1}"
         generate = lambda: clique_threshold_family(n, r)
     else:  # e2_two_level
         if n % 2:
             size = (1 << (n - 1)) + comb(n, n // 2)
         else:
             # sets through 1 of size >= n/2-1, plus sets whose part beyond 1 has size >= n/2
-            size = binom_tail(n - 1, n // 2 - 2, "ge") + binom_tail(n - 1, n // 2, "ge")
+            size = binom_tail(n - 1, n // 2 - 2) + binom_tail(n - 1, n // 2)
         claim = "C4"
         generate = lambda: e2_two_level(n)
     if size > freeness.MAX_VERTICES:

@@ -125,4 +125,4 @@ def cycle_upper_bound(n: int, k: int) -> int:
         raise ValueError("k must be at least 1")
     top = -(-k * n // (2 * k + 1))  # ceil(kn/(2k+1))
     cut = max(0, top - shift_constant(k))
-    return binom_tail(n, cut, "ge")
+    return binom_tail(n, cut)

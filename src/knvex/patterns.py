@@ -106,16 +106,16 @@ def make_pattern(kind: str, *params: int) -> PatternGraph:
     raise ValueError(f"unknown pattern kind {kind!r}")
 
 
-_NAME_RE = re.compile(r"^(M|S|C|K)(\d+)$")
-_KST_RE = re.compile(r"^K(\d+),(\d+)$")
+_NAME_RE = re.compile(r"(M|S|C|K)([0-9]+)")
+_KST_RE = re.compile(r"K([0-9]+),([0-9]+)")
 
 
 def parse_pattern(name: str) -> PatternGraph:
     """Resolve a CLI pattern name like M2, S3, C5, K4 or K2,3."""
-    m = _KST_RE.match(name)
+    m = _KST_RE.fullmatch(name)
     if m:
         return make_pattern("complete_bipartite", int(m.group(1)), int(m.group(2)))
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if m:
         kind = {"M": "matching", "S": "star", "C": "cycle", "K": "clique"}[m.group(1)]
         return make_pattern(kind, int(m.group(2)))

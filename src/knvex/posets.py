@@ -193,8 +193,8 @@ def crown(m: int) -> Poset:
     return poset_from_bipartite(make_pattern("cycle", m))
 
 
-_SIZED_NAME_RE = re.compile(r"(crown|chain|antichain)(\d+)")
-_THREE_LEVEL_RE = re.compile(r"K(\d+),1,(\d+)")
+_SIZED_NAME_RE = re.compile(r"(crown|chain|antichain)([0-9]+)")
+_THREE_LEVEL_RE = re.compile(r"K([0-9]+),1,([0-9]+)")
 
 
 def named_poset(name: str) -> Poset:

@@ -16,7 +16,6 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator
 
@@ -111,11 +110,7 @@ def level_slice(n: int, lo: int, hi: int) -> Family:
     validate_ground(n)
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"invalid level range {lo}..{hi} for n={n}")
-    masks = []
-    for size in range(lo, hi + 1):
-        for bits in combinations(range(n), size):
-            masks.append(sum(1 << b for b in bits))
-    return Family.of(n, masks)
+    return Family.of(n, (m for m in range(1 << n) if lo <= m.bit_count() <= hi))
 
 
 def symmetric_chains(n: int) -> list[tuple[int, ...]]:
@@ -160,16 +155,12 @@ def young_classes(masks, blocks) -> list[int]:
     return [classes[key] for key in keys]
 
 
-def binom_tail(n: int, m: int, direction: str = "le") -> int:
-    """Exact sum of binomials: sum of C(n,i) for i <= m ("le") or i >= m ("ge")."""
+def binom_tail(n: int, m: int) -> int:
+    """The number of subsets of [n] with at least m elements: the sum of C(n, i) for i >= m."""
     validate_ground(n)
     if not 0 <= m <= n:
         raise ValueError(f"m={m} out of range 0..{n}")
-    if direction == "le":
-        return sum(comb(n, i) for i in range(0, m + 1))
-    if direction == "ge":
-        return sum(comb(n, i) for i in range(m, n + 1))
-    raise ValueError(f"direction must be 'le' or 'ge', got {direction!r}")
+    return sum(comb(n, i) for i in range(m, n + 1))
 
 
 def upset(fam: Family) -> Family:

@@ -65,6 +65,16 @@ def all_families(n: int):
         yield [m for m in ground if bits >> m & 1]
 
 
+def level_masks(n: int, lo: int, hi: int) -> list[int]:
+    """The masks of the subsets of [n] with lo <= size <= hi, sorted, built
+    size by size from element combinations."""
+    masks = []
+    for size in range(lo, hi + 1):
+        for bits in combinations(range(n), size):
+            masks.append(sum(1 << b for b in bits))
+    return sorted(masks)
+
+
 def max_family_size(n: int, keeps) -> int:
     """Largest family passing the predicate, by exhausting all families."""
     best = 0

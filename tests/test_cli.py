@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -5,9 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knvex
 from knvex.cli import main
+from knvex.constructions import CONSTRUCTION_PARAMETERS
 
 
 def run(capsys, *argv):
@@ -82,6 +87,10 @@ class TestExitCodes:
             ("la", "--n", "3", "--poset", "K2,1,"),
             ("la", "--n", "3", "--poset", "K2,1,3x"),
             ("la", "--n", "3", "--poset", "crown18"),
+            # names with a newline or with digits other than ASCII ones
+            ("vex", "--n", "3", "--pattern", "C5\n"),
+            ("vex", "--n", "3", "--pattern", "K\u0662,3"),
+            ("la", "--n", "3", "--poset", "chain\u0663"),
         ],
     )
     def test_input_error_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
@@ -122,7 +131,36 @@ class TestExitCodes:
             main(list(argv))
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("text", ["3..x", "..3", "3..4..5"])
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("vex --pattern C5", "--n", "1_0"),
+            ("vex --pattern C5", "--n", " 7 "),
+            ("vex --pattern C5", "--n", "+3"),
+            ("vex --pattern C5", "--n", "\u0663"),
+            ("vex --n 4 --pattern C5", "--budget", "1_000"),
+            ("eposet --poset V", "--nmax", "+3"),
+            ("cyclecheck --n 4", "--seed", " 1"),
+            ("verify --construction threshold --n 6", "--k", "\u0661"),
+        ],
+    )
+    def test_integers_other_than_ascii_decimal_are_usage_errors(self, capsys, command, flag, text):
+        with pytest.raises(SystemExit) as info:
+            main([*command.split(), flag, text])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2 and out == ""
+        assert f"argument {flag}: expected an integer, got {text!r}" in err
+
+    def test_canonical_numbers_and_names_read_as_before(self, capsys):
+        code, out, _ = run(capsys, "vex", "--n", "3", "--pattern", "S0003")
+        _, canonical, _ = run(capsys, "vex", "--n", "3", "--pattern", "S3")
+        assert code == 0
+        assert json.loads(out)["results"] == json.loads(canonical)["results"]
+        code, out, err = run(capsys, "vex", "--n", "4", "--pattern", "C5", "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert err == "knvex: error: node budget must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("text", ["3..x", "..3", "3..4..5", "+3..5", "3..\u0665", " 3..5"])
     def test_malformed_ranges_are_usage_errors(self, capsys, text):
         with pytest.raises(SystemExit) as info:
             main(["table", "--pattern", "C5", "--n", text])
@@ -203,6 +241,68 @@ class TestReports:
         lines = out.splitlines()
         assert lines[0] == "n,lower,upper,exact"
         assert [line.split(",")[0] for line in lines[1:]] == ["3", "4", "5"]
+
+
+def _flag(name, values):
+    """An optional flag: nothing, or [name, value]."""
+    return st.just([]) | values.map(lambda v: [name, v])
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+_JUNK = ["1_0", "x", "", "+3", " 7 "]
+_N = st.sampled_from([str(n) for n in range(-1, 8)] + _JUNK)
+_INT = st.sampled_from([str(b) for b in range(-1, 51)] + _JUNK)
+_PATTERN = st.sampled_from(["C5", "K2,3", "K1", "M1", "S3", "K0", "C2", "K16", "Q7", "C5x"])
+_POSET = st.sampled_from(
+    ["V", "Lambda", "butterfly", "chain0", "antichain0", "K0,1,0", "K2,1,", "crown4", "Q7"]
+)
+_RANGE = st.one_of(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).map(lambda r: f"{r[0]}..{r[1]}"),
+    st.sampled_from([str(n) for n in range(9)] + ["3..x", "..3", "+3..5"]),
+)
+
+
+@st.composite
+def _argv(draw):
+    """Argument lists for the six subcommands, each flag present or absent."""
+    command = draw(st.sampled_from(["vex", "table", "la", "eposet", "verify", "cyclecheck"]))
+    n = draw(_flag("--n", _RANGE if command == "table" else _N))
+    rest = ["--pattern", draw(_PATTERN)] if command in ("vex", "table") else []
+    if command == "vex":
+        rest += draw(_switch("--bounds")) + draw(_flag("--budget", _INT))
+        rest += draw(_flag("--timeout", st.sampled_from(["-1", "0", "nan", "0.5"])))
+    elif command == "la":
+        rest += [arg for p in draw(st.lists(_POSET, max_size=2)) for arg in ("--poset", p)]
+        rest += draw(_switch("--symmetric"))
+        # la without a budget takes seconds at n = 5
+        rest += ["--budget", draw(_INT)] if n == ["--n", "5"] else draw(_flag("--budget", _INT))
+    elif command == "eposet":
+        nmax = st.sampled_from([str(k) for k in range(-1, 7)] + _JUNK)
+        rest += ["--poset", draw(_POSET)] + draw(_flag("--nmax", nmax))
+    elif command == "verify":
+        rest += ["--construction", draw(st.sampled_from(sorted(CONSTRUCTION_PARAMETERS)))]
+        for key in ("k", "r", "x"):
+            rest += draw(_flag(f"--{key}", _INT))
+    elif command == "cyclecheck":
+        rest += draw(_flag("--family", st.sampled_from(["random", "no/such.family"])))
+        rest += draw(_flag("--seed", _INT))
+    return [command, *n, *rest]
+
+
+class TestNoTraceback:
+    @given(_argv())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_argv_exits_0_1_or_2(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+                assert code == 2, argv
+        assert code in (0, 1, 2), argv
 
 
 class TestClosedStdout:

@@ -18,7 +18,7 @@ from knvex.constructions import (
 )
 from knvex.freeness import InducedKneser, is_free
 from knvex.patterns import make_pattern, parse_pattern
-from knvex.sets import Family, binom_tail, level_slice, mask_of, upset
+from knvex.sets import Family, binom_tail, elements_of, level_slice, mask_of, upset
 
 from oracles import disjointness_edges
 
@@ -33,6 +33,12 @@ class TestStarFamily:
         for n in range(1, 11):
             for x in (1, n):
                 assert len(star_family(n, x)) == 1 << (n - 1)
+
+    def test_is_the_sets_through_x(self):
+        for n in range(1, 11):
+            for x in range(1, n + 1):
+                through_x = [m for m in range(1 << n) if x in elements_of(m)]
+                assert list(star_family(n, x)) == through_x
 
     def test_edgeless(self):
         for n in range(2, 9):
@@ -82,6 +88,16 @@ class TestBipLower:
             )
             assert len(bip_lower(n)) == expected
 
+    def test_is_the_upper_half_with_the_middle_sets_through_1(self):
+        for n in range(2, 11):
+            # even n: sizes >= n/2; odd n: sizes > n/2, or floor(n/2) through element 1
+            upper = [
+                m for m in range(1 << n)
+                if 2 * len(elements_of(m)) >= n
+                or len(elements_of(m)) == n // 2 and 1 in elements_of(m)
+            ]
+            assert list(bip_lower(n)) == upper
+
     def test_max_degree_at_most_one(self):
         for n in range(4, 8):
             assert is_free(bip_lower(n), parse_pattern("S2"))
@@ -91,7 +107,7 @@ class TestThresholdFamily:
     def test_size_example(self):
         fam = threshold_family(5, 1)
         assert len(fam) == 32 - 6
-        assert len(fam) == 32 - binom_tail(5, 1, "le")
+        assert len(fam) == binom_tail(5, 2)
 
     def test_triangle_freeness(self):
         for n in range(3, 9):

@@ -126,7 +126,7 @@ class TestCycleUpperBound:
     def test_sandwich(self):
         for k in (1, 2, 3):
             for n in range(1, 31):
-                lower = (1 << n) - binom_tail(n, k * n // (2 * k + 1), "le")
+                lower = binom_tail(n, k * n // (2 * k + 1) + 1)
                 assert lower <= cycle_upper_bound(n, k)
 
 

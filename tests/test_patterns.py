@@ -52,6 +52,12 @@ class TestMakePattern:
         with pytest.raises(ValueError):
             parse_pattern("Q7")
 
+    @pytest.mark.parametrize("name", ["C5\n", "C\u0665", "K\u0662,3"])
+    def test_names_are_ascii_digits_to_the_end(self, name):
+        with pytest.raises(ValueError) as caught:
+            parse_pattern(name)
+        assert str(caught.value) == f"unknown pattern name {name!r}"
+
 
 class TestBipartition:
     def test_even_cycle(self):

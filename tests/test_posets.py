@@ -659,6 +659,8 @@ class TestNamedAndText:
             ("K,1,3", "unknown poset name 'K,1,3'"),
             ("K2,1,", "unknown poset name 'K2,1,'"),
             ("K2,1,3x", "unknown poset name 'K2,1,3x'"),
+            ("chain\u0663", "unknown poset name 'chain\u0663'"),
+            ("K\u0662,1,3", "unknown poset name 'K\u0662,1,3'"),
             ("crown18", "poset size must be 1..16"),
         ],
     )

@@ -21,7 +21,7 @@ from knvex.sets import (
     young_classes,
 )
 
-from oracles import block_orbit_classes
+from oracles import block_orbit_classes, level_masks
 
 
 def F(n, *sets):
@@ -101,6 +101,12 @@ class TestLevelSlice:
                     expected = sum(comb(n, i) for i in range(lo, hi + 1))
                     assert len(level_slice(n, lo, hi)) == expected
 
+    def test_matches_the_combinations_oracle(self):
+        for n in range(1, 11):
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    assert list(level_slice(n, lo, hi)) == level_masks(n, lo, hi)
+
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             level_slice(4, 3, 2)
@@ -139,16 +145,19 @@ class TestYoungClasses:
 
 class TestBinomTail:
     def test_examples(self):
-        assert binom_tail(5, 1, "le") == 6
-        assert binom_tail(6, 6, "le") == 64
+        assert binom_tail(5, 2) == 26
+        assert binom_tail(6, 0) == 64
         # frozen from the direct-summation oracle
-        assert binom_tail(15, 2, "ge") == sum(comb(15, i) for i in range(2, 16)) == 32752
+        assert binom_tail(15, 2) == sum(comb(15, i) for i in range(2, 16)) == 32752
+
+    def test_counts_the_sets_of_at_least_m_elements(self):
+        for n in range(1, 13):
+            for m in range(n + 1):
+                assert binom_tail(n, m) == sum(x.bit_count() >= m for x in range(1 << n))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            binom_tail(5, 6, "le")
-        with pytest.raises(ValueError):
-            binom_tail(5, 2, "up")
+            binom_tail(5, 6)
 
 
 class TestUpset:
