@@ -195,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="wall-clock budget in seconds for the complement-core search (run at 4 <= n <= 6;"
         " at most half of the time left) and the main search (the rest); certifying the"
-        " construction seed before them is not counted (under 0.5 s up to n = 14, about"
-        " 48 s for C5 at n = 17)",
+        " construction seed before them is not counted (about 0.1 s for C5 at n = 17)",
     )
     p.set_defaults(func=_cmd_vex)
 

@@ -55,11 +55,41 @@ I & has_r & ~has_e.  The has_x masks take n * 2^n bits: 28 KB at n = 14
 and 5.5 MB at n = 21, the largest ground set of a host any command checks.
 A family with 2^n > 2 * MAX_VERTICES gets no classes, so a library call at
 n = 30 searches plainly instead of allocating gigabytes.
+
+is_free decides a host with at most two blocks on counts, with no rows, no
+index and no member list (_quotient_contains).  Such a host is a union of
+whole classes, so whether a set is a member depends only on its profile, its
+sizes in the blocks; one representative per profile reads them all.  Given a
+copy, give each element of [n] the set of pattern vertices whose images hold
+it; the elements of one block with one such set form a Venn atom, and the
+copy fixes each atom's size.  These sizes meet three conditions: no nonempty
+atom holds both ends of an edge (disjointness); for any two vertices some
+nonempty atom holds exactly one of them (distinctness); and the profile of
+each vertex, its atoms' sizes summed per block, is a member's.  Conversely,
+take a size for each atom of each block, those of a block summing to its
+size, that meet the three conditions.  Split each block into atoms of those
+sizes in any way and send each vertex to the union of its atoms.  The images are members by their
+profiles, distinct and disjoint on every edge, so they form a copy.  So the
+family holds a copy iff some atom sizes meet the conditions, and the search
+over sizes is exact in both directions.  It places the vertices in the
+embedder's order, spreading each one's per-block sizes over the atoms it may
+use; isolated vertices need only |F| >= |V(G)|.  Atoms that every later
+vertex treats alike are merged, since only that treatment and the
+distinctness bits still to be read tell them apart, and a failed state is
+remembered.  Twins (vertices with the same neighbours apart from each other)
+may trade images, so some copy places each twin class in increasing
+profile order, and a later neighbour of the placed vertex needs room for as
+many members as it and its unplaced twins.  Hosts with more blocks, with
+2^n > 2 * MAX_VERTICES or with fewer than QUOTIENT_MIN_MEMBERS members, and
+searches past QUOTIENT_STATES states, go to the embedder.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
+from itertools import product
+from math import comb, prod
 
 from .patterns import PatternGraph
 from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask, young_classes
@@ -292,25 +322,29 @@ def _symmetry_blocks(fam: Family) -> list[int]:
     return blocks
 
 
-def _symmetry_classes(fam: Family) -> list[int] | None:
+def _symmetry_classes(fam: Family, blocks: list[int] | None = None) -> list[int] | None:
     """Per member index, the bitmask of the member indices in its host class:
-    young_classes of the members under the blocks of _symmetry_blocks.
-    None when every block is a singleton, or when 2^n > 2 * MAX_VERTICES
-    (the block test's memory bound)."""
+    young_classes of the members under the blocks of _symmetry_blocks, which
+    a caller that has them passes in.  None when every block is a singleton,
+    or when 2^n > 2 * MAX_VERTICES (the block test's memory bound)."""
     if 1 << fam.n > 2 * MAX_VERTICES:
         return None
-    blocks = _symmetry_blocks(fam)
+    if blocks is None:
+        blocks = _symmetry_blocks(fam)
     if len(blocks) == fam.n:
         return None
     return young_classes(fam.members, blocks)
 
 
-def _static_copy(plan: _Plan, host: InducedKneser) -> dict[int, int] | None:
+def _static_copy(
+    plan: _Plan, host: InducedKneser, blocks: list[int] | None = None
+) -> dict[int, int] | None:
     """The plain search's copy of the plan's pattern in a static host, vertex ->
     member mask, or None; the first vertex is tried on one member per class
-    of _symmetry_classes(host.vertices), and only host.neighbor_mask is read."""
+    of _symmetry_classes(host.vertices, blocks), and only host.neighbor_mask
+    is read."""
     members = host.vertices.members
-    classes = _symmetry_classes(host.vertices)
+    classes = _symmetry_classes(host.vertices, blocks)
     assign = _embed(plan, len(members), (host.neighbor_mask,), classes=classes)
     return None if assign is None else {v: members[i] for v, i in assign.items()}
 
@@ -320,9 +354,203 @@ def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | No
     return _static_copy(_graph_plan(pattern), InducedKneser(fam))
 
 
+# A quotient search that tries more candidate states than this gives up, and
+# is_free asks the embedder instead; no construction check measured at
+# n <= 21 tried more than 2,048.
+QUOTIENT_STATES = 10_000
+# Hosts with fewer members go to the embedder, whose rows are cheap there: at
+# n <= 8 it certifies each construction in 0.02-0.7 ms, the quotient search
+# in 0.06-0.7 ms.
+QUOTIENT_MIN_MEMBERS = 256
+
+
+class _GiveUp(Exception):
+    pass
+
+
+def _quotient_contains(fam: Family, blocks: list[int], pattern: PatternGraph) -> bool | None:
+    """Whether the family holds a copy of the pattern, decided over Venn-atom
+    sizes (module docstring); blocks are _symmetry_blocks(fam), one or two
+    of them.  None when the search tries more than QUOTIENT_STATES states.
+
+    A state is (whether some image is empty, per twin class the profile of
+    its last placed vertex while a twin is still to come, then per block its
+    atoms).  An atom is (allowed, label, size): allowed holds the later
+    vertices that may use it, none of them adjacent to a vertex it holds,
+    and label the tracked vertices it holds."""
+    members = fam.members
+    # isolated vertices take any members the others leave
+    if pattern.vertex_count > len(members):
+        return False
+    # prefixes[j][s]: the lowest s elements of block j
+    prefixes = []
+    for block in blocks:
+        prefix = [0]
+        while block:
+            low = block & -block
+            block ^= low
+            prefix.append(prefix[-1] | low)
+        prefixes.append(prefix)
+    # a profile is admissible when its representative, and so its whole class, is a member
+    admissible = []
+    for sizes in product(*(range(len(prefix)) for prefix in prefixes)):
+        rep = sum(prefix[s] for prefix, s in zip(prefixes, sizes))
+        at = bisect_left(members, rep)
+        if at < len(members) and members[at] == rep:
+            admissible.append(sizes)
+    within: dict[tuple[int, ...], int] = {}  # per-block room -> members that fit in it
+
+    adjacency = pattern.adjacency
+    order = [v for v in _graph_plan(pattern).route[0] if adjacency[v]]
+    size = len(order)
+    # Twins, vertices with the same neighbours apart from each other, may
+    # trade images, so some copy lists each twin class's profiles in
+    # increasing order.  Twinship is an equivalence relation.
+    twin_class: dict[int, int] = {}
+    heads: list[int] = []
+    for v in order:
+        mates = (k for k, h in enumerate(heads) if (adjacency[v] ^ adjacency[h]) & ~(1 << v | 1 << h) == 0)
+        twin_class[v] = next(mates, len(heads))
+        if twin_class[v] == len(heads):
+            heads.append(v)
+    # per position: v's bit and neighbours, the placed vertices it must differ
+    # from by its atoms (its non-neighbours), the vertices whose atom bits are
+    # still tracked once it is placed (those with a later non-neighbour), its
+    # twin class, whether a later twin reads its profile, and per later
+    # neighbour the twins of it still to place, each needing its own member
+    steps = []
+    for pos, v in enumerate(order):
+        placed = sum(1 << u for u in order[:pos])
+        rest = order[pos + 1:]
+        later = sum(1 << w for w in rest)
+        tracked = sum(1 << u for u in order[:pos + 1] if later & ~adjacency[u])
+        twin_later = any(twin_class[w] == twin_class[v] for w in rest)
+        checks = [
+            (w, sum(twin_class[x] == twin_class[w] for x in rest))
+            for w in rest if adjacency[v] >> w & 1
+        ]
+        need = placed & ~adjacency[v]
+        steps.append((1 << v, adjacency[v], need, tracked, twin_class[v], twin_later, checks))
+    failed: set = set()
+    visited = 0
+
+    def place(pos: int, state: tuple) -> bool:
+        nonlocal visited
+        if pos == size:
+            return True
+        if (pos, state) in failed:
+            return False
+        bit, banned, need, tracked, twins, twin_later, checks = steps[pos]
+        empty_used, floors, *block_atoms = state
+        floor = floors[twins]
+        usable = [tuple(a for a in atoms if a[0] & bit) for atoms in block_atoms]
+        counts = [tuple(c for _, _, c in atoms) for atoms in usable]
+        caps = [sum(c) for c in counts]
+        for sizes in admissible:
+            if sizes < floor or any(s > cap for s, cap in zip(sizes, caps)):
+                continue
+            empty = not any(sizes)
+            if empty and empty_used:
+                continue
+            next_floors = floors
+            if twin_later or floor:
+                next_floors = floors[:twins] + (sizes if twin_later else (),) + floors[twins + 1:]
+            for takes in _joint_spreads(counts, sizes):
+                visited += 1
+                if visited > QUOTIENT_STATES:
+                    raise _GiveUp
+                new_atoms = []
+                differs = 0
+                for atoms, use, take in zip(block_atoms, usable, takes):
+                    split: dict[tuple[int, int], int] = {}
+                    for (allowed, label, c), x in zip(use, take):
+                        if x:
+                            # v's image holds these x elements, its non-neighbours' images do not
+                            differs |= need & ~label
+                            key = (allowed & ~bit & ~banned, (label | bit) & tracked)
+                            split[key] = split.get(key, 0) + x
+                        if x < c:
+                            differs |= label & need
+                            key = (allowed & ~bit, label & tracked)
+                            split[key] = split.get(key, 0) + c - x
+                    for allowed, label, c in atoms:
+                        if not allowed & bit:
+                            differs |= label & need
+                            key = (allowed, label & tracked)
+                            split[key] = split.get(key, 0) + c
+                    # an atom no later vertex may use and no tracked vertex holds is spent
+                    split.pop((0, 0), None)
+                    new_atoms.append(tuple(sorted((a, l, c) for (a, l), c in split.items())))
+                if need & ~differs:
+                    continue
+                # forward check: each later neighbour w keeps room for as many
+                # members as w and its unplaced twins need
+                fit = True
+                for w, twins_left in checks:
+                    room = tuple(
+                        sum(c for allowed, _, c in atoms if allowed >> w & 1) for atoms in new_atoms
+                    )
+                    count = within.get(room)
+                    if count is None:
+                        count = within[room] = sum(
+                            prod(map(comb, room, fitting))
+                            for fitting in admissible
+                            if all(s <= r for s, r in zip(fitting, room))
+                        )
+                    if count < twins_left:
+                        fit = False
+                        break
+                if fit and place(pos + 1, (empty_used or empty, next_floors, *new_atoms)):
+                    return True
+        failed.add((pos, state))
+        return False
+
+    everyone = sum(1 << v for v in order)
+    start = (False, ((),) * len(heads), *(((everyone, 0, len(prefix) - 1),) for prefix in prefixes))
+    try:
+        return place(0, start)
+    except _GiveUp:
+        return None
+
+
+def _spreads(counts: tuple[int, ...], total: int):
+    """Every way to take total elements from atoms holding counts elements:
+    tuples x with 0 <= x[i] <= counts[i] and sum total, lazily."""
+    if not counts:
+        if total == 0:
+            yield ()
+        return
+    room = sum(counts) - counts[0]
+    for x in range(max(0, total - room), min(counts[0], total) + 1):
+        for rest in _spreads(counts[1:], total - x):
+            yield (x, *rest)
+
+
+def _joint_spreads(counts, sizes):
+    """The product over blocks j of _spreads(counts[j], sizes[j]), lazily."""
+    if not counts:
+        yield ()
+        return
+    for take in _spreads(counts[0], sizes[0]):
+        for rest in _joint_spreads(counts[1:], sizes[1:]):
+            yield (take, *rest)
+
+
 def is_free(fam: Family, pattern: PatternGraph) -> bool:
-    """True when the subgraph induced by the family contains no copy of the pattern."""
-    return contains_subgraph(fam, pattern) is None
+    """True when the subgraph induced by the family contains no copy of the pattern.
+
+    A host of at least QUOTIENT_MIN_MEMBERS members with one or two symmetry
+    blocks is decided on its Venn-atom counts (_quotient_contains); any other
+    host, or a quotient search that gives up, goes to the embedder with the
+    same blocks."""
+    blocks = None
+    if 1 << fam.n <= 2 * MAX_VERTICES:
+        blocks = _symmetry_blocks(fam)
+        if len(blocks) <= 2 and len(fam) >= QUOTIENT_MIN_MEMBERS:
+            found = _quotient_contains(fam, blocks, pattern)
+            if found is not None:
+                return not found
+    return _static_copy(_graph_plan(pattern), InducedKneser(fam), blocks) is None
 
 
 class _CheckerBase:

@@ -383,13 +383,12 @@ def vex_exact(
     structural cases, no core search runs (core_value None, core_nodes 0)
     and the main search gets the whole budget.  The timeout bounds the
     searches only: the construction seed is certified before them without
-    looking at the clock.  With the host-symmetry pruning of the static
-    check that stays under half a second up to n = 14 (`vex --n 12
-    --pattern C5 --budget 10 --timeout 1` runs 0.15 s in all), but takes
-    about 48 s for C5 at n = 17, so a run there lasts far longer than its
-    timeout.  Both searches prune by orbits
-    (relabel_invariant): relabelling [n] keeps disjointness, so it keeps the
-    pattern checker's verdict.  The core search visits the outer levels
+    looking at the clock.  is_free decides the constructions on their
+    Venn-atom counts, so that stays short: `vex --n 12 --pattern C5
+    --budget 10 --timeout 1` runs 0.15 s in all, and vex_bounds takes 0.07 s
+    for C5 at n = 17, where the row-based check took 48 s.  Both searches
+    prune by orbits (relabel_invariant): relabelling [n] keeps disjointness,
+    so it keeps the pattern checker's verdict.  The core search visits the outer levels
     first, the main search the middle ones (see the module docstring).
     """
     validate_ground(n)

@@ -100,6 +100,20 @@ def is_cyclic_interval(mask: int, order) -> bool:
     return False
 
 
+def interval_sets(n: int) -> list[frozenset[int]]:
+    """The interval masks of each of the (n-1)! cyclic orders of 1..n that
+    start at 1: every run of 1..n consecutive entries of the order read twice."""
+    out = []
+    for rest in permutations(range(2, n + 1)):
+        doubled = (1, *rest) * 2
+        out.append(frozenset(
+            sum(1 << (e - 1) for e in doubled[start:start + size])
+            for start in range(n)
+            for size in range(1, n + 1)
+        ))
+    return out
+
+
 def disjointness_edges(masks):
     """All index pairs of distinct disjoint sets."""
     out = []

@@ -1,11 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from knvex.cycle import (
-    _interval_sets,
     certified_log_ceil,
     cycle_upper_bound,
     double_count_check,
@@ -15,7 +15,7 @@ from knvex.cycle import (
 )
 from knvex.sets import Family, binom_tail, level_slice, mask_of, random_family
 
-from oracles import is_cyclic_interval
+from oracles import interval_sets, is_cyclic_interval
 
 
 class TestIntervalMasks:
@@ -26,7 +26,9 @@ class TestIntervalMasks:
     def test_canonical_count(self):
         # one entry per cyclic permutation: the (n-1)! orders that start at 1
         for n in range(1, 8):
-            assert len(_interval_sets(n)) == math.factorial(n - 1)
+            orders = interval_sets(n)
+            assert len(orders) == math.factorial(n - 1)
+            assert orders == [interval_masks((1, *rest)) for rest in permutations(range(2, n + 1))]
 
     def test_examples(self):
         masks = interval_masks((1, 3, 2))
@@ -57,8 +59,9 @@ class TestIntervalMasks:
         # a set with 0 < |S| < n is an interval of exactly |S|! (n-|S|)!
         # cyclic permutations
         for n in range(1, 8):
+            orders = interval_sets(n)
             for mask in range(1, (1 << n) - 1):
-                count = sum(1 for masks in _interval_sets(n) if mask in masks)
+                count = sum(1 for masks in orders if mask in masks)
                 s = mask.bit_count()
                 assert count == math.factorial(s) * math.factorial(n - s)
 
@@ -103,6 +106,16 @@ class TestDoubleCount:
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
             double_count_check(Family.of(8, [1]))
+
+    def test_agrees_with_the_interval_sets(self):
+        # lhs as the sum of the weights of the members each interval set holds
+        rng = random.Random(4)
+        for n in (6, 7):
+            orders = interval_sets(n)
+            for _ in range(3):
+                fam = Family.of(n, rng.sample(range(1, (1 << n) - 1), 1 << (n - 1)))
+                lhs = sum(weight(n, m) for masks in orders for m in fam if m in masks)
+                assert double_count_check(fam) == (lhs, len(fam) * math.factorial(n), True)
 
     def test_singletons_all_pass(self):
         for n in range(2, 7):

@@ -1,29 +1,31 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from knvex import freeness
 from knvex.constructions import (
+    CONSTRUCTION_PARAMETERS,
     bip_lower,
     build_construction,
     clique_threshold_family,
+    e2_two_level,
     star_family,
     threshold_family,
-    verify_construction,
 )
 from knvex.freeness import (
     IncrementalChecker,
     InducedKneser,
     _embed,
     _graph_plan,
+    _quotient_contains,
     _symmetry_blocks,
     _symmetry_classes,
     check_witness,
     contains_subgraph,
     is_free,
 )
-from knvex.patterns import PatternGraph, parse_pattern
+from knvex.patterns import PatternGraph, parse_pattern, pattern_from_text
 from knvex.sets import Family, level_slice, mask_of
 
 from oracles import automorphism_orbit_minima, disjointness_edges, subgraph_copy_exists
@@ -290,8 +292,10 @@ class TestHostSymmetry:
         ],
     )
     def test_rows_built_per_host_class(self, monkeypatch, name, n, params, built):
-        # adjacency rows a certification builds, a deterministic count; with one
-        # row per host, not per host class, these were 9908, 4272, 1743 and 2085
+        # adjacency rows the embedder builds to certify a construction, a
+        # deterministic count; with one row per host, not per host class, these
+        # were 9908, 4272, 1743 and 2085 (is_free decides these hosts on atom
+        # counts and builds none)
         rows = []
         neighbor_mask = InducedKneser.neighbor_mask
 
@@ -301,7 +305,8 @@ class TestHostSymmetry:
             return neighbor_mask(kneser, i)
 
         monkeypatch.setattr(InducedKneser, "neighbor_mask", counted)
-        assert verify_construction(build_construction(name, n, **params))["pass"]
+        nc = build_construction(name, n, **params)
+        assert contains_subgraph(nc.family, parse_pattern(nc.claimed_free_of)) is None
         assert len(rows) == built
 
     def test_trivial_symmetry_gives_none(self):
@@ -345,6 +350,143 @@ class TestHostSymmetry:
                 if len(fam) <= 8:
                     assert (got is not None) == subgraph_copy_exists(fam.members, pattern)
         assert symmetric > 100
+
+
+# the patterns the quotient search is checked on: a triangle with three
+# isolated vertices, from a pattern file, besides the named ones
+QUOTIENT_PATTERNS = {
+    **{
+        name: parse_pattern(name)
+        for name in ("C3", "C5", "C7", "K4", "K2,3", "C4", "S3", "K3,3", "S2", "M2")
+    },
+    "K3+3": pattern_from_text("p 6\n0 1\n1 2\n0 2\n"),
+}
+
+
+def quotient_agrees(fam: Family, pattern: PatternGraph) -> bool:
+    """The quotient search decides the host and agrees with the embedder."""
+    found = _quotient_contains(fam, _symmetry_blocks(fam), pattern)
+    assert found is not None
+    assert found == (contains_subgraph(fam, pattern) is not None)
+    return found
+
+
+def two_block_family(rng: random.Random, n: int) -> Family:
+    """A random union of Young classes over a random split of [n] into two blocks."""
+    first = sum(1 << e for e in rng.sample(range(n), rng.randint(0, n)))
+    blocks = (first, ((1 << n) - 1) ^ first)
+    kept = {key for key in product(range(n + 1), repeat=2) if rng.random() < 0.5}
+    profile = lambda m: tuple((m & b).bit_count() for b in blocks)
+    return Family.of(n, (m for m in range(1 << n) if profile(m) in kept))
+
+
+class TestQuotient:
+    def test_level_windows(self):
+        found = 0
+        for n in range(1, 9):
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    fam = level_slice(n, lo, hi)
+                    for pattern in QUOTIENT_PATTERNS.values():
+                        found += quotient_agrees(fam, pattern)
+        assert 0 < found < 164 * len(QUOTIENT_PATTERNS)
+
+    def test_constructions(self):
+        params = {"x": (1, 2), "k": (1, 2, 3), "r": (2, 3, 4)}
+        for name, keys in CONSTRUCTION_PARAMETERS.items():
+            for n in range(3, 13):
+                for values in product(*(params[key] for key in keys)):
+                    fam = build_construction(name, n, **dict(zip(keys, values))).family
+                    if len(_symmetry_blocks(fam)) <= 2:
+                        for pattern in QUOTIENT_PATTERNS.values():
+                            quotient_agrees(fam, pattern)
+
+    def test_random_two_block_families(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            fam = two_block_family(rng, rng.randint(1, 8))
+            assert len(_symmetry_blocks(fam)) <= 2
+            for pattern in QUOTIENT_PATTERNS.values():
+                quotient_agrees(fam, pattern)
+
+    def test_relabelling_keeps_the_verdict(self):
+        rng = random.Random(17)
+        hosts = [two_block_family(rng, rng.randint(3, 7)) for _ in range(15)]
+        hosts += [level_slice(6, 2, 4), e2_two_level(8)]
+        for pattern in QUOTIENT_PATTERNS.values():
+            size = pattern.vertex_count
+            for _ in range(3):
+                perm = rng.sample(range(size), size)
+                relabelled = PatternGraph.make(size, [(perm[u], perm[v]) for u, v in pattern.edges])
+                for fam in hosts:
+                    blocks = _symmetry_blocks(fam)
+                    expected = _quotient_contains(fam, blocks, pattern)
+                    assert _quotient_contains(fam, blocks, relabelled) == expected
+
+    def test_host_smaller_than_the_pattern(self):
+        # isolated vertices still need members of their own
+        fam = level_slice(3, 1, 1)
+        assert _quotient_contains(fam, _symmetry_blocks(fam), QUOTIENT_PATTERNS["C3"]) is True
+        assert _quotient_contains(fam, _symmetry_blocks(fam), QUOTIENT_PATTERNS["K3+3"]) is False
+
+    def test_which_hosts_reach_the_embedder(self, monkeypatch):
+        calls = {}
+        for attr in ("_quotient_contains", "_static_copy"):
+            def counted(*args, attr=attr, fn=getattr(freeness, attr)):
+                calls[attr] += 1
+                return fn(*args)
+            monkeypatch.setattr(freeness, attr, counted)
+
+        def check(fam, pattern, quotient, embedder):
+            calls.update(_quotient_contains=0, _static_copy=0)
+            free = is_free(fam, pattern)
+            assert calls == {"_quotient_contains": quotient, "_static_copy": embedder}
+            assert free == (contains_subgraph(fam, pattern) is None)
+
+        c5 = QUOTIENT_PATTERNS["C5"]
+        check(threshold_family(10, 2), c5, 1, 0)
+        # the three blocks {1}, {2}, {3..9}
+        three = Family.of(9, (m for m in range(1 << 9) if m & 1 and not m & 2 or m.bit_count() > 4))
+        assert len(_symmetry_blocks(three)) == 3 and len(three) >= freeness.QUOTIENT_MIN_MEMBERS
+        check(three, c5, 0, 1)
+        # below QUOTIENT_MIN_MEMBERS, and a search past QUOTIENT_STATES
+        check(threshold_family(7, 2), c5, 0, 1)
+        monkeypatch.setattr(freeness, "QUOTIENT_STATES", 3)
+        check(threshold_family(10, 2), c5, 1, 1)
+
+    @pytest.mark.parametrize(
+        "name, n, params, pattern, states",
+        [
+            ("threshold", 13, {"k": 2}, "C5", 24),
+            ("clique_threshold", 12, {"r": 3}, "K4", 18),
+            ("bip_lower", 14, {}, "S2", 8),
+            ("e2_two_level", 12, {}, "C4", 28),
+            ("e2_two_level", 12, {}, "K2,3", 97),
+            ("e2_two_level", 12, {}, "K3,3", 97),
+            ("threshold", 17, {"k": 2}, "C5", 353),
+        ],
+    )
+    def test_states_tried(self, monkeypatch, name, n, params, pattern, states):
+        # a deterministic count; without the twin order the K2,3 and K3,3
+        # checks tried 224 and 878 states
+        fam = build_construction(name, n, **params).family
+        blocks = _symmetry_blocks(fam)
+        monkeypatch.setattr(freeness, "QUOTIENT_STATES", states)
+        assert _quotient_contains(fam, blocks, parse_pattern(pattern)) is False
+        monkeypatch.setattr(freeness, "QUOTIENT_STATES", states - 1)
+        assert _quotient_contains(fam, blocks, parse_pattern(pattern)) is None
+
+    @pytest.mark.parametrize(
+        "name, params, pattern", [("threshold", {"k": 2}, "C5"), ("e2_two_level", {}, "K2,3")]
+    )
+    def test_n17_without_rows(self, monkeypatch, name, params, pattern):
+        # the embedder took 53 s and 367 MB, and 4.3 s and 279 MB, on these
+        def refuse(kneser, i):
+            raise AssertionError("an adjacency row was built")
+
+        fam = build_construction(name, 17, **params).family
+        monkeypatch.setattr(InducedKneser, "neighbor_mask", refuse)
+        assert is_free(fam, parse_pattern(pattern))
 
 
 class TestMonotonicity:
