@@ -1,12 +1,12 @@
 """Generators for the extremal families, each with its exact size formula.
 
 Each generator is its family's membership rule over the masks of 2^[n]
-(matching_extremal adds k complements to the star, e2_two_level is the
-upset of e2_core).  build_construction pairs it with a closed-form size, a
-binomial count computed apart from the generator, and with the pattern the
-family avoids; a mismatch between generator and formula is a hard error.
-Freeness claims are certified separately (verify_construction and the
-search seeds run the subgraph checker).
+(matching_extremal adds k complements to the star).  build_construction
+pairs it with a closed-form size, a binomial count computed apart from the
+generator, and with the pattern the family avoids; a mismatch between
+generator and formula is a hard error.  Freeness claims are certified
+separately (verify_construction and the search seeds run the subgraph
+checker).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb
 
 from . import freeness
 from .patterns import parse_pattern
-from .sets import Family, binom_tail, complement, level_slice, upset, validate_ground
+from .sets import Family, binom_tail, complement, validate_ground
 
 # each construction's parameters; the star's x defaults to 1
 CONSTRUCTION_PARAMETERS = {
@@ -111,24 +111,17 @@ def clique_threshold_family(n: int, r: int) -> Family:
 
 
 def e2_two_level(n: int) -> Family:
-    """Upset of a two-level base, e2_core(n), that stays free of width-2 poset patterns.
+    """Upset of a two-level base that stays free of width-2 poset patterns.
 
-    Odd n: the two middle levels (upset = everything of size >= floor(n/2)).
-    Even n: sets through element 1 of sizes n/2-1, n/2 joined with sets
-    avoiding it of sizes n/2, n/2+1; the two halves are never nested and each
-    is two consecutive levels of an (n-1)-cube.
+    Odd n: the two middle levels, so every set of size >= floor(n/2).  Even
+    n: the sets through element 1 of sizes n/2-1, n/2 with those avoiding it
+    of sizes n/2, n/2+1 (never nested, each two levels of an (n-1)-cube), so
+    the sets through 1 of size >= n/2-1 and those avoiding it of size >= n/2.
     """
-    return upset(e2_core(n))
-
-
-def e2_core(n: int) -> Family:
-    """The two-level base of e2_two_level (its non-isolated part)."""
     _check_parameters("e2_two_level", n, {})
-    if n % 2:
-        return level_slice(n, n // 2, (n + 1) // 2)
-    half = n // 2
-    sizes = {0: (half, half + 1), 1: (half - 1, half)}  # by m & 1: avoiding element 1, through it
-    return Family.of(n, (m for m in range(1 << n) if m.bit_count() in sizes[m & 1]))
+    # m & even is m's bit for element 1 at even n, and 0 at odd n
+    even = 1 - n % 2
+    return Family.of(n, (m for m in range(1 << n) if m.bit_count() >= n // 2 - (m & even)))
 
 
 def build_construction(name: str, n: int, **params: int) -> NamedConstruction:

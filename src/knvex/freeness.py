@@ -32,20 +32,14 @@ uses the same argument: a host that fails for the first vertex, by its
 degree, by forward checking or in its subsearch, leaves the domains of that
 vertex's whole orbit (_embed says why each failure proves it).
 
-A static search (_static_copy, graphs and posets alike) also prunes by the
-host family's own symmetry, found and so checked by _symmetry_blocks.  Call
-a transposition (i j) of [n] good when it maps the family onto itself.  If
-(i j) and (j k) are good, so is (i k) = (i j)(j k)(i j); so the good
-transpositions split [n] into blocks, testing an element against one element
-of each block found so far decides where it goes, and they generate the
-product of the blocks' symmetric groups.  Under that group Y lies in X's
-class iff |Y & b| = |X & b| for every block b: sets.young_classes, the one
-statement of that rule, which the search's orbital bans use too.  A
-relabelling of [n] keeps disjointness and inclusion alike, so one that keeps
-the family maps a copy with the first vertex on h to one with it on the
-image of h, and a host fails for the first vertex iff its whole class does.
-Candidates run in index order, so each class is first tried at its smallest
-member and the copy found is the plain search's.
+A static check (_static_copy, _holds_copy; graphs and posets alike) first
+reads the host family's own symmetry, found and so checked by
+_symmetry_blocks.  Call a transposition (i j) of [n] good when it maps the
+family onto itself.  If (i j) and (j k) are good, so is (i k) =
+(i j)(j k)(i j); so the good transpositions split [n] into blocks, testing
+an element against one element of each block found so far decides where it
+goes, and they generate the product of the blocks' symmetric groups.  Under
+that group Y lies in X's class iff |Y & b| = |X & b| for every block b.
 
 The transpositions are tested on the family's indicator I = sum of 2^m over
 the members, a 2^n-bit int: with has_x the positions whose bit x is set,
@@ -53,35 +47,39 @@ the members, a 2^n-bit int: with has_x the positions whose bit x is set,
 so it keeps the family iff (I & has_e & ~has_r) >> (2^e - 2^r) equals
 I & has_r & ~has_e.  The has_x masks take n * 2^n bits: 28 KB at n = 14
 and 5.5 MB at n = 21, the largest ground set of a host any command checks.
-A family with 2^n > 2 * MAX_VERTICES gets no classes, so a library call at
+A family with 2^n > 2 * MAX_VERTICES gets no blocks, so a library call at
 n = 30 searches plainly instead of allocating gigabytes.
 
-is_free decides a host with at most two blocks on counts, with no rows, no
-index and no member list (_quotient_contains).  Such a host is a union of
-whole classes, so whether a set is a member depends only on its profile, its
-sizes in the blocks; one representative per profile reads them all.  Given a
-copy, give each element of [n] the set of pattern vertices whose images hold
-it; the elements of one block with one such set form a Venn atom, and the
-copy fixes each atom's size.  These sizes meet three conditions: no nonempty
-atom holds both ends of an edge (disjointness); for any two vertices some
-nonempty atom holds exactly one of them (distinctness); and the profile of
-each vertex, its atoms' sizes summed per block, is a member's.  Conversely,
-take a size for each atom of each block, those of a block summing to its
-size, that meet the three conditions.  Split each block into atoms of those
-sizes in any way and send each vertex to the union of its atoms.  The images are members by their
-profiles, distinct and disjoint on every edge, so they form a copy.  So the
-family holds a copy iff some atom sizes meet the conditions, and the search
-over sizes is exact in both directions.  It places the vertices in the
-embedder's order, spreading each one's per-block sizes over the atoms it may
-use; isolated vertices need only |F| >= |V(G)|.  Atoms that every later
-vertex treats alike are merged, since only that treatment and the
-distinctness bits still to be read tell them apart, and a failed state is
-remembered.  Twins (vertices with the same neighbours apart from each other)
-may trade images, so some copy places each twin class in increasing
-profile order, and a later neighbour of the placed vertex needs room for as
-many members as it and its unplaced twins.  Hosts with more blocks, with
-2^n > 2 * MAX_VERTICES or with fewer than QUOTIENT_MIN_MEMBERS members, and
-searches past QUOTIENT_STATES states, go to the embedder.
+A host with at most two blocks is decided on counts, with no rows, no index
+and no member list (_quotient_contains).  Such a host is a union of whole
+classes, so whether a set is a member depends only on its profile, its sizes
+in the blocks; one representative per profile reads them all.  Given a copy,
+give each element of [n] the set of pattern vertices whose images hold it;
+the elements of one block with one such set form a Venn atom, and the copy
+fixes each atom's size.  These sizes meet three conditions: the relations
+hold (no nonempty atom holds both ends of an edge, or p but not q where
+p < q); some nonempty atom holds exactly one of any two vertices; and each
+vertex's profile, its atoms' sizes summed per block, is a member's.
+Conversely, split each block into atoms of sizes that meet the conditions,
+and send each vertex to the union of its atoms: the images are distinct
+members, the ends of an edge share no atom, and where p < q every atom of p
+is one of q, so p's image lies inside q's, properly as they differ.  So the
+search over sizes is exact in both directions, for either relation.
+
+It places the vertices in the embedder's order and spreads each one's
+per-block sizes over the atoms it may use: a graph vertex those holding none
+of its neighbours; a poset element any part of each atom, but the whole of
+each one holding an element below it.  Vertices related to no other need
+only |F| >= |V|.  Atoms that every later vertex treats alike are merged, as
+nothing still to come tells them apart, and a failed state is remembered.
+Twins (u and v whose transposition keeps every relation row, so in a poset
+they are incomparable) may trade images, so some copy places each twin
+class in increasing profile order.  A later vertex related to the placed one
+(a neighbour, or an element above) must still find a member for itself and
+each unplaced twin: inside the atoms it may use, or holding those it must
+take.  Hosts with more blocks or with 2^n > 2 * MAX_VERTICES, and searches
+past QUOTIENT_STATES states, go to the embedder, which also finds every copy
+returned, whatever decided that one exists.
 """
 
 from __future__ import annotations
@@ -92,7 +90,7 @@ from itertools import product
 from math import comb, prod
 
 from .patterns import PatternGraph
-from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask, young_classes
+from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask
 
 MAX_VERTICES = 1 << 20
 
@@ -176,6 +174,7 @@ class _Plan:
             if any(rel[v] & ~placed for rel in others):
                 raise ValueError(f"vertex {v} is related to a later vertex outside relations[0]")
         self.size = size
+        self.relations = relations
         self.route = (order, _route(first, order))
         forced_routes = []
         for p in range(size):
@@ -218,7 +217,7 @@ def _narrow(domains: list[int], related, row: int) -> bool:
     return True
 
 
-def _embed(plan: _Plan, host_size: int, rows, forced=None, classes=None):
+def _embed(plan: _Plan, host_size: int, rows, forced=None):
     """Injective relation-preserving map of the pattern into an abstract host.
 
     rows[r](i) is the bitset of host indices that host index i relates to in
@@ -228,13 +227,12 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None, classes=None):
 
     Unforced, a host that fails for the first vertex, by its degree, by
     forward checking or by its subsearch, leaves the domains of that
-    vertex's whole automorphism orbit; with classes (from _symmetry_classes,
-    unforced only) its whole host class leaves them, and the first vertex's
-    candidates, with it.  Any of the three failures proves that no copy puts
-    h first: at position 0 the domains lack only hosts already proven to be
-    in no copy on the first orbit, so forward checking there empties no
-    domain that a copy would fill.  The orbit and the class then follow by
-    symmetry, as in the module docstring.  Returns the assignment dict or None.
+    vertex's whole automorphism orbit.  Any of the three failures proves
+    that no copy puts h first: at position 0 the domains lack only hosts
+    already proven to be in no copy on the first orbit, so forward checking
+    there empties no domain that a copy would fill.  The orbit then follows
+    by symmetry, as in the module docstring.  Returns the assignment dict or
+    None.
     """
     size = plan.size
     if size > host_size:
@@ -276,12 +274,9 @@ def _embed(plan: _Plan, host_size: int, rows, forced=None, classes=None):
                         return True
             if pos == 0:
                 # no copy at all puts h on the first vertex, so by symmetry
-                # none puts h, or a host in its class, on any vertex of that
-                # vertex's orbit
-                gone = low if classes is None else classes[h]
-                cands &= ~gone
+                # none puts h on any vertex of that vertex's orbit
                 for u in plan.first_orbit:
-                    domains[u] &= ~gone
+                    domains[u] &= ~low
         return False
 
     if place(start, domains, used):
@@ -322,65 +317,31 @@ def _symmetry_blocks(fam: Family) -> list[int]:
     return blocks
 
 
-def _symmetry_classes(fam: Family, blocks: list[int] | None = None) -> list[int] | None:
-    """Per member index, the bitmask of the member indices in its host class:
-    young_classes of the members under the blocks of _symmetry_blocks, which
-    a caller that has them passes in.  None when every block is a singleton,
-    or when 2^n > 2 * MAX_VERTICES (the block test's memory bound)."""
-    if 1 << fam.n > 2 * MAX_VERTICES:
-        return None
-    if blocks is None:
-        blocks = _symmetry_blocks(fam)
-    if len(blocks) == fam.n:
-        return None
-    return young_classes(fam.members, blocks)
-
-
-def _static_copy(
-    plan: _Plan, host: InducedKneser, blocks: list[int] | None = None
-) -> dict[int, int] | None:
-    """The plain search's copy of the plan's pattern in a static host, vertex ->
-    member mask, or None; the first vertex is tried on one member per class
-    of _symmetry_classes(host.vertices, blocks), and only host.neighbor_mask
-    is read."""
-    members = host.vertices.members
-    classes = _symmetry_classes(host.vertices, blocks)
-    assign = _embed(plan, len(members), (host.neighbor_mask,), classes=classes)
-    return None if assign is None else {v: members[i] for v, i in assign.items()}
-
-
-def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
-    """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent."""
-    return _static_copy(_graph_plan(pattern), InducedKneser(fam))
-
-
 # A quotient search that tries more candidate states than this gives up, and
-# is_free asks the embedder instead; no construction check measured at
+# the check asks the embedder instead; no construction check measured at
 # n <= 21 tried more than 2,048.
 QUOTIENT_STATES = 10_000
-# Hosts with fewer members go to the embedder, whose rows are cheap there: at
-# n <= 8 it certifies each construction in 0.02-0.7 ms, the quotient search
-# in 0.06-0.7 ms.
-QUOTIENT_MIN_MEMBERS = 256
 
 
 class _GiveUp(Exception):
     pass
 
 
-def _quotient_contains(fam: Family, blocks: list[int], pattern: PatternGraph) -> bool | None:
-    """Whether the family holds a copy of the pattern, decided over Venn-atom
-    sizes (module docstring); blocks are _symmetry_blocks(fam), one or two
-    of them.  None when the search tries more than QUOTIENT_STATES states.
+def _quotient_contains(fam: Family, blocks: list[int], plan: _Plan) -> bool | None:
+    """Whether the family holds a copy of the plan's pattern, decided over
+    Venn-atom sizes (module docstring): disjoint pairs for a plan of one
+    relation, inclusions for (above, below).  blocks are the one or two
+    _symmetry_blocks(fam).  None past QUOTIENT_STATES states.
 
     A state is (whether some image is empty, per twin class the profile of
     its last placed vertex while a twin is still to come, then per block its
-    atoms).  An atom is (allowed, label, size): allowed holds the later
-    vertices that may use it, none of them adjacent to a vertex it holds,
-    and label the tracked vertices it holds."""
+    atoms).  An atom is (allowed, whole, label, size): the later vertices
+    that may use it (none adjacent to a vertex it holds), those that must
+    take all of it (above a vertex it holds), and the tracked vertices it
+    holds."""
     members = fam.members
-    # isolated vertices take any members the others leave
-    if pattern.vertex_count > len(members):
+    # vertices related to no other take any members the others leave
+    if plan.size > len(members):
         return False
     # prefixes[j][s]: the lowest s elements of block j
     prefixes = []
@@ -398,39 +359,65 @@ def _quotient_contains(fam: Family, blocks: list[int], pattern: PatternGraph) ->
         at = bisect_left(members, rep)
         if at < len(members) and members[at] == rep:
             admissible.append(sizes)
-    within: dict[tuple[int, ...], int] = {}  # per-block room -> members that fit in it
+    within: dict[tuple, int] = {}
 
-    adjacency = pattern.adjacency
-    order = [v for v in _graph_plan(pattern).route[0] if adjacency[v]]
+    def fitting(block_atoms, w: int) -> int:
+        """The members holding every atom w must take, inside those it may use."""
+        bounds = tuple(
+            (
+                sum(c for _, whole, _, c in atoms if whole >> w & 1),
+                sum(c for allowed, _, _, c in atoms if allowed >> w & 1),
+            )
+            for atoms in block_atoms
+        )
+        count = within.get(bounds)
+        if count is None:
+            count = within[bounds] = sum(
+                prod(comb(room - held, s - held) for s, (held, room) in zip(sizes, bounds))
+                for sizes in admissible
+                if all(held <= s <= room for s, (held, room) in zip(sizes, bounds))
+            )
+        return count
+
+    relations = plan.relations
+    up = relations[0]  # the adjacency, or the elements above
+    # a graph vertex bans its neighbours from its atoms; a poset element
+    # hands its atoms whole to the elements above it
+    none = (0,) * plan.size
+    bans, lifts = (up, none) if len(relations) == 1 else (none, up)
+    order = [v for v in plan.route[0] if any(rel[v] for rel in relations)]
     size = len(order)
-    # Twins, vertices with the same neighbours apart from each other, may
+    # Twins, vertices whose transposition keeps every relation row, may
     # trade images, so some copy lists each twin class's profiles in
     # increasing order.  Twinship is an equivalence relation.
     twin_class: dict[int, int] = {}
     heads: list[int] = []
     for v in order:
-        mates = (k for k, h in enumerate(heads) if (adjacency[v] ^ adjacency[h]) & ~(1 << v | 1 << h) == 0)
-        twin_class[v] = next(mates, len(heads))
+        twin = lambda h: all(
+            (rel[v] ^ rel[h]) & ~(1 << v | 1 << h) == 0 and rel[v] >> h & 1 == rel[h] >> v & 1
+            for rel in relations
+        )
+        twin_class[v] = next((k for k, h in enumerate(heads) if twin(h)), len(heads))
         if twin_class[v] == len(heads):
             heads.append(v)
-    # per position: v's bit and neighbours, the placed vertices it must differ
-    # from by its atoms (its non-neighbours), the vertices whose atom bits are
-    # still tracked once it is placed (those with a later non-neighbour), its
-    # twin class, whether a later twin reads its profile, and per later
-    # neighbour the twins of it still to place, each needing its own member
+    # per position: v's bit, bans and lifts, the placed vertices its atoms
+    # must tell it from (a graph vertex's neighbours are told by disjointness),
+    # the vertices a later one must be told from, its twin class, whether a
+    # later twin reads its profile, and per later vertex related to v the
+    # twins of it still to place, each needing its own member
     steps = []
     for pos, v in enumerate(order):
         placed = sum(1 << u for u in order[:pos])
         rest = order[pos + 1:]
         later = sum(1 << w for w in rest)
-        tracked = sum(1 << u for u in order[:pos + 1] if later & ~adjacency[u])
+        tracked = sum(1 << u for u in order[:pos + 1] if later & ~bans[u])
         twin_later = any(twin_class[w] == twin_class[v] for w in rest)
         checks = [
             (w, sum(twin_class[x] == twin_class[w] for x in rest))
-            for w in rest if adjacency[v] >> w & 1
+            for w in rest if up[v] >> w & 1
         ]
-        need = placed & ~adjacency[v]
-        steps.append((1 << v, adjacency[v], need, tracked, twin_class[v], twin_later, checks))
+        need = placed & ~bans[v]
+        steps.append((1 << v, bans[v], lifts[v], need, tracked, twin_class[v], twin_later, checks))
     failed: set = set()
     visited = 0
 
@@ -440,14 +427,16 @@ def _quotient_contains(fam: Family, blocks: list[int], pattern: PatternGraph) ->
             return True
         if (pos, state) in failed:
             return False
-        bit, banned, need, tracked, twins, twin_later, checks = steps[pos]
+        bit, banned, lift, need, tracked, twins, twin_later, checks = steps[pos]
         empty_used, floors, *block_atoms = state
         floor = floors[twins]
         usable = [tuple(a for a in atoms if a[0] & bit) for atoms in block_atoms]
-        counts = [tuple(c for _, _, c in atoms) for atoms in usable]
-        caps = [sum(c) for c in counts]
+        # v takes all of each atom it must and spreads the rest of its sizes
+        forced = [sum(c for _, whole, _, c in atoms if whole & bit) for atoms in usable]
+        spare = [tuple(0 if whole & bit else c for _, whole, _, c in atoms) for atoms in usable]
+        caps = [sum(c for *_, c in atoms) for atoms in usable]
         for sizes in admissible:
-            if sizes < floor or any(s > cap for s, cap in zip(sizes, caps)):
+            if sizes < floor or any(not f <= s <= cap for s, f, cap in zip(sizes, forced, caps)):
                 continue
             empty = not any(sizes)
             if empty and empty_used:
@@ -455,58 +444,46 @@ def _quotient_contains(fam: Family, blocks: list[int], pattern: PatternGraph) ->
             next_floors = floors
             if twin_later or floor:
                 next_floors = floors[:twins] + (sizes if twin_later else (),) + floors[twins + 1:]
-            for takes in _joint_spreads(counts, sizes):
+            for takes in product(*map(_spreads, spare, [s - f for s, f in zip(sizes, forced)])):
                 visited += 1
                 if visited > QUOTIENT_STATES:
                     raise _GiveUp
                 new_atoms = []
                 differs = 0
                 for atoms, use, take in zip(block_atoms, usable, takes):
-                    split: dict[tuple[int, int], int] = {}
-                    for (allowed, label, c), x in zip(use, take):
+                    split: dict[tuple[int, int, int], int] = {}
+                    for (allowed, whole, label, c), x in zip(use, take):
+                        if whole & bit:
+                            x = c
                         if x:
-                            # v's image holds these x elements, its non-neighbours' images do not
+                            # v's image holds these x elements, the images outside label do not
                             differs |= need & ~label
-                            key = (allowed & ~bit & ~banned, (label | bit) & tracked)
+                            key = (allowed & ~bit & ~banned, whole & ~bit | lift, (label | bit) & tracked)
                             split[key] = split.get(key, 0) + x
                         if x < c:
                             differs |= label & need
-                            key = (allowed & ~bit, label & tracked)
+                            key = (allowed & ~bit, whole & ~bit, label & tracked)
                             split[key] = split.get(key, 0) + c - x
-                    for allowed, label, c in atoms:
+                    for allowed, whole, label, c in atoms:
                         if not allowed & bit:
                             differs |= label & need
-                            key = (allowed, label & tracked)
+                            key = (allowed, whole, label & tracked)
                             split[key] = split.get(key, 0) + c
                     # an atom no later vertex may use and no tracked vertex holds is spent
-                    split.pop((0, 0), None)
-                    new_atoms.append(tuple(sorted((a, l, c) for (a, l), c in split.items())))
+                    split.pop((0, 0, 0), None)
+                    new_atoms.append(tuple(sorted((*key, c) for key, c in split.items())))
                 if need & ~differs:
                     continue
-                # forward check: each later neighbour w keeps room for as many
-                # members as w and its unplaced twins need
-                fit = True
-                for w, twins_left in checks:
-                    room = tuple(
-                        sum(c for allowed, _, c in atoms if allowed >> w & 1) for atoms in new_atoms
-                    )
-                    count = within.get(room)
-                    if count is None:
-                        count = within[room] = sum(
-                            prod(map(comb, room, fitting))
-                            for fitting in admissible
-                            if all(s <= r for s, r in zip(fitting, room))
-                        )
-                    if count < twins_left:
-                        fit = False
-                        break
+                # forward check: each later vertex w related to v keeps as
+                # many members as w and its unplaced twins need
+                fit = all(fitting(new_atoms, w) >= left for w, left in checks)
                 if fit and place(pos + 1, (empty_used or empty, next_floors, *new_atoms)):
                     return True
         failed.add((pos, state))
         return False
 
     everyone = sum(1 << v for v in order)
-    start = (False, ((),) * len(heads), *(((everyone, 0, len(prefix) - 1),) for prefix in prefixes))
+    start = (False, ((),) * len(heads), *(((everyone, 0, 0, len(prefix) - 1),) for prefix in prefixes))
     try:
         return place(0, start)
     except _GiveUp:
@@ -526,31 +503,48 @@ def _spreads(counts: tuple[int, ...], total: int):
             yield (x, *rest)
 
 
-def _joint_spreads(counts, sizes):
-    """The product over blocks j of _spreads(counts[j], sizes[j]), lazily."""
-    if not counts:
-        yield ()
-        return
-    for take in _spreads(counts[0], sizes[0]):
-        for rest in _joint_spreads(counts[1:], sizes[1:]):
-            yield (take, *rest)
+def _quotient_verdict(fam: Family, plan: _Plan) -> bool | None:
+    """_quotient_contains, or None on a host with more than two symmetry
+    blocks or past the block test's memory bound, 2^n > 2 * MAX_VERTICES."""
+    if 1 << fam.n > 2 * MAX_VERTICES:
+        return None
+    blocks = _symmetry_blocks(fam)
+    return _quotient_contains(fam, blocks, plan) if len(blocks) <= 2 else None
+
+
+def _embedded_copy(fam: Family, plan: _Plan, host) -> dict[int, int] | None:
+    """The embedder's copy, vertex -> member mask, or None; host(fam) is the
+    InducedKneser whose neighbor_mask gives the rows of relations[0]."""
+    assign = _embed(plan, len(fam), (host(fam).neighbor_mask,))
+    return None if assign is None else {v: fam.members[i] for v, i in assign.items()}
+
+
+def _static_copy(fam: Family, plan: _Plan, host) -> dict[int, int] | None:
+    """The embedder's copy of the plan's pattern in a static family, or None;
+    a host that the quotient finds free builds no row."""
+    if _quotient_verdict(fam, plan) is False:
+        return None
+    return _embedded_copy(fam, plan, host)
+
+
+def _holds_copy(fam: Family, plan: _Plan, host) -> bool:
+    """Whether a static family holds a copy, with no copy built: the
+    quotient's verdict, or the embedder's on a host the quotient leaves."""
+    found = _quotient_verdict(fam, plan)
+    if found is None:
+        found = _embedded_copy(fam, plan, host) is not None
+    return found
+
+
+def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
+    """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent."""
+    return _static_copy(fam, _graph_plan(pattern), InducedKneser)
 
 
 def is_free(fam: Family, pattern: PatternGraph) -> bool:
-    """True when the subgraph induced by the family contains no copy of the pattern.
-
-    A host of at least QUOTIENT_MIN_MEMBERS members with one or two symmetry
-    blocks is decided on its Venn-atom counts (_quotient_contains); any other
-    host, or a quotient search that gives up, goes to the embedder with the
-    same blocks."""
-    blocks = None
-    if 1 << fam.n <= 2 * MAX_VERTICES:
-        blocks = _symmetry_blocks(fam)
-        if len(blocks) <= 2 and len(fam) >= QUOTIENT_MIN_MEMBERS:
-            found = _quotient_contains(fam, blocks, pattern)
-            if found is not None:
-                return not found
-    return _static_copy(_graph_plan(pattern), InducedKneser(fam), blocks) is None
+    """True when the subgraph induced by the family contains no copy of the
+    pattern: decided on Venn-atom counts where the host allows (_holds_copy)."""
+    return not _holds_copy(fam, _graph_plan(pattern), InducedKneser)
 
 
 class _CheckerBase:

@@ -7,11 +7,11 @@ obstruct pattern copies in the Kneser cube.  This module owns
   * the Poset type (strict order on <= 16 labeled elements, bitmask rows),
   * weak-copy detection in families (order-preserving injections; an
     injection makes every required inclusion proper automatically), through
-    the embedding engine of freeness.py with a linear extension as the
-    order, so only "above" is checked along it: a static search is the graph
-    one, on a host whose lazy rows hold proper supersets (_SupersetHost),
-    and the incremental checker also keeps the subset rows its pinned
-    pushes read,
+    the engines of freeness.py with a linear extension as the order: a
+    static check is the graph one, the Venn-atom quotient on inclusion, or
+    the embedder, which checks only "above" along the order, on a host whose
+    lazy rows hold proper supersets (_SupersetHost); the incremental checker
+    also keeps the subset rows its pinned pushes read,
   * La(n, *) exact maximization at desk scale via the shared search engine,
   * bounded certification of e(P), the number of consecutive Boolean-cube
     levels that stay P-free,
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freeness import InducedKneser, _CheckerBase, _Plan, _static_copy, check_witness
+from .freeness import InducedKneser, _CheckerBase, _holds_copy, _Plan, _static_copy, check_witness
 from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
 from .sets import (
     Family,
@@ -249,7 +249,12 @@ class _SupersetHost(InducedKneser):
 
 def contains_poset_copy(fam: Family, poset: Poset) -> dict[int, int] | None:
     """Search for a weak copy of the poset, element -> member mask; None if absent."""
-    return _static_copy(_poset_plan(poset), _SupersetHost(fam))
+    return _static_copy(fam, _poset_plan(poset), _SupersetHost)
+
+
+def is_poset_free(fam: Family, poset: Poset) -> bool:
+    """True when the family holds no weak copy of the poset; no copy is built."""
+    return not _holds_copy(fam, _poset_plan(poset), _SupersetHost)
 
 
 class IncrementalPosetChecker(_CheckerBase):
@@ -354,7 +359,7 @@ def la(
         window = level_slice(n, (n - width + 1) // 2, (n + width - 1) // 2)
         if symmetric and family_complement(window) != window:
             continue
-        if all(contains_poset_copy(window, poset) is None for poset in forbidden):
+        if all(is_poset_free(window, poset) for poset in forbidden):
             seed = window
             break
     checker = IncrementalPosetChecker(forbidden, n)
@@ -368,7 +373,7 @@ def la(
         partitions=partitions,
     )
     # the seed was certified before the search; only a found witness is re-checked
-    if witness != seed and any(contains_poset_copy(witness, p) is not None for p in forbidden):
+    if witness != seed and not all(is_poset_free(witness, p) for p in forbidden):
         raise AssertionError("search produced a witness that fails re-verification")
     return LaResult(value, witness, exact, nodes)
 
@@ -390,12 +395,20 @@ class LevelCertification:
 
 
 def e_of_poset(poset: Poset, n_max: int) -> LevelCertification:
-    """Certify e(P) by exhausting all level windows of 2^[n] for n <= n_max."""
+    """Certify e(P) by exhausting all level windows of 2^[n] for n <= n_max.
+
+    The images of a chain of h elements are h sets of distinct sizes, so a
+    window of fewer levels than P's height, its longest chain (found along
+    the linear extension, which places the elements below v before v),
+    holds no copy and is not checked."""
     if n_max > 12:
         raise ValueError("level certification budget is n_max <= 12")
     validate_ground(n_max)
 
-    for k in range(1, n_max + 1):
+    longest = [0] * poset.size  # per element v, the longest chain with top v
+    for v in poset.linear_extension:
+        longest[v] = 1 + max((longest[u] for u in range(poset.size) if poset.less(u, v)), default=0)
+    for k in range(max(longest), n_max + 1):
         for n in range(1, n_max + 1):
             for j in range(0, n - k + 2):  # the window of levels j..j+k-1
                 copy = contains_poset_copy(level_slice(n, j, j + k - 1), poset)

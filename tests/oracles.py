@@ -160,3 +160,28 @@ def shortest_odd_cycle(graph) -> int | None:
             if all((cycle[k - 1], cycle[k]) in adjacent for k in range(length)):
                 return length
     return None
+
+
+def e2_core(n: int) -> list[int]:
+    """The two-level base whose upset is e2_two_level, as sorted masks: odd n
+    the two middle levels; even n the sets through element 1 of sizes
+    n/2 - 1, n/2 and those avoiding it of sizes n/2, n/2 + 1.  ValueError
+    below n = 3, where e2_two_level has no base either."""
+    if n < 3:
+        raise ValueError("needs n >= 3")
+    half = n // 2
+    if n % 2:
+        return level_masks(n, half, half + 1)
+    # subsets of {2..n} shifted up from those of [n - 1], with element 1 or without
+    through = [m << 1 | 1 for m in level_masks(n - 1, half - 2, half - 1)]
+    avoiding = [m << 1 for m in level_masks(n - 1, half, half + 1)]
+    return sorted(through + avoiding)
+
+
+def two_block_masks(rng, n: int) -> list[int]:
+    """A random union of Young classes over a random split of [n] into two
+    blocks, as sorted masks: each pair of block sizes kept with probability 1/2."""
+    first = sum(1 << e for e in rng.sample(range(n), rng.randint(0, n)))
+    blocks = (first, ((1 << n) - 1) ^ first)
+    kept = {key for key in product(range(n + 1), repeat=2) if rng.random() < 0.5}
+    return [m for m in range(1 << n) if tuple((m & b).bit_count() for b in blocks) in kept]

@@ -9,7 +9,6 @@ from knvex.constructions import (
     bip_lower,
     build_construction,
     clique_threshold_family,
-    e2_core,
     e2_two_level,
     matching_extremal,
     star_family,
@@ -20,7 +19,7 @@ from knvex.freeness import InducedKneser, is_free
 from knvex.patterns import make_pattern, parse_pattern
 from knvex.sets import Family, binom_tail, elements_of, level_slice, mask_of, upset
 
-from oracles import disjointness_edges
+from oracles import disjointness_edges, e2_core
 
 
 class TestStarFamily:
@@ -159,8 +158,8 @@ class TestE2TwoLevel:
                 closure = [
                     m for m in range(1 << n) if m.bit_count() >= (half - 1 if m & 1 else half)
                 ]
-            assert e2_core(n) == Family.of(n, base)
-            assert e2_two_level(n) == upset(e2_core(n)) == Family.of(n, closure)
+            assert e2_core(n) == base
+            assert e2_two_level(n) == upset(Family.of(n, e2_core(n))) == Family.of(n, closure)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_core_and_upset_need_n_at_least_3(self, n):
@@ -171,7 +170,7 @@ class TestE2TwoLevel:
     def test_vertices_outside_core_are_isolated(self):
         for n in (4, 5, 6, 7):
             fam = e2_two_level(n)
-            core = e2_core(n).member_set
+            core = set(e2_core(n))
             kneser = InducedKneser(fam)
             for i, mask in enumerate(fam):
                 if mask not in core:

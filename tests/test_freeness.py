@@ -19,16 +19,16 @@ from knvex.freeness import (
     _embed,
     _graph_plan,
     _quotient_contains,
+    _quotient_verdict,
     _symmetry_blocks,
-    _symmetry_classes,
     check_witness,
     contains_subgraph,
     is_free,
 )
 from knvex.patterns import PatternGraph, parse_pattern, pattern_from_text
-from knvex.sets import Family, level_slice, mask_of
+from knvex.sets import Family, level_slice, mask_of, young_classes
 
-from oracles import automorphism_orbit_minima, disjointness_edges, subgraph_copy_exists
+from oracles import automorphism_orbit_minima, disjointness_edges, subgraph_copy_exists, two_block_masks
 
 NAMED = {
     "K2": parse_pattern("K2"),
@@ -270,74 +270,79 @@ class TestHostSymmetry:
             assert good_transpositions(fam) == inside
         assert nontrivial > 40
 
-    def test_no_classes_past_the_memory_bound(self, monkeypatch):
-        # the bitmap block test holds n * 2^n bits, so classes stop at 2^n > 2 * MAX_VERTICES
+    def test_no_quotient_past_the_memory_bound(self, monkeypatch):
+        # the bitmap block test holds n * 2^n bits, so the quotient stops at 2^n > 2 * MAX_VERTICES
         monkeypatch.setattr(freeness, "MAX_VERTICES", 16)
-        assert _symmetry_classes(level_slice(5, 0, 1)) is not None
+        plan = _graph_plan(NAMED["K2"])
+        assert _quotient_verdict(level_slice(5, 0, 1), plan) is True
         fam = level_slice(6, 0, 1)
-        assert _symmetry_classes(fam) is None
+        assert _quotient_verdict(fam, plan) is None
         rows = (InducedKneser(fam).neighbor_mask,)
         for pattern in NAMED.values():
             plain = _embed(_graph_plan(pattern), len(fam), rows)
             got = contains_subgraph(fam, pattern)
             assert got == {v: fam.members[i] for v, i in plain.items()}
+            assert not is_free(fam, pattern)
 
     @pytest.mark.parametrize(
-        "name, n, params, built",
+        "name, n, params, pattern, free",
         [
-            ("bip_lower", 14, {}, 8),
-            ("threshold", 13, {"k": 2}, 232),
-            ("clique_threshold", 12, {"r": 3}, 172),
-            ("e2_two_level", 12, {}, 56),
+            ("bip_lower", 14, {}, "S2", True),
+            ("threshold", 13, {"k": 2}, "C5", True),
+            ("clique_threshold", 12, {"r": 3}, "K4", True),
+            ("e2_two_level", 12, {}, "C4", True),
+            ("bip_lower", 14, {}, "K2", False),
+            ("clique_threshold", 12, {"r": 3}, "K3", False),
+            ("threshold", 7, {"k": 2}, "S3", False),
         ],
     )
-    def test_rows_built_per_host_class(self, monkeypatch, name, n, params, built):
-        # adjacency rows the embedder builds to certify a construction, a
-        # deterministic count; with one row per host, not per host class, these
-        # were 9908, 4272, 1743 and 2085 (is_free decides these hosts on atom
-        # counts and builds none)
-        rows = []
-        neighbor_mask = InducedKneser.neighbor_mask
+    def test_verdicts_build_no_rows(self, monkeypatch, name, n, params, pattern, free):
+        # block-symmetric hosts, decided on atom counts with or without a copy
+        # in them; with one row per host class the embedder built 8, 232, 172
+        # and 56 rows to certify the four free ones
+        def refuse(kneser, i):
+            raise AssertionError("an adjacency row was built")
 
-        def counted(kneser, i):
-            if i not in kneser._rows:
-                rows.append(i)
-            return neighbor_mask(kneser, i)
-
-        monkeypatch.setattr(InducedKneser, "neighbor_mask", counted)
-        nc = build_construction(name, n, **params)
-        assert contains_subgraph(nc.family, parse_pattern(nc.claimed_free_of)) is None
-        assert len(rows) == built
+        fam = build_construction(name, n, **params).family
+        assert len(_symmetry_blocks(fam)) <= 2
+        monkeypatch.setattr(InducedKneser, "neighbor_mask", refuse)
+        assert is_free(fam, parse_pattern(pattern)) is free
+        if free:
+            assert contains_subgraph(fam, parse_pattern(pattern)) is None
 
     def test_trivial_symmetry_gives_none(self):
         chain = F(3, [1], [1, 2], [1, 2, 3])
         assert good_transpositions(chain) == []
         assert _symmetry_blocks(chain) == [1, 2, 4]
-        assert _symmetry_classes(chain) is None
-        assert _symmetry_classes(F(1, [], [1])) is None
+        k2 = _graph_plan(NAMED["K2"])
+        assert _quotient_verdict(chain, k2) is None
+        # one block, so the quotient decides it: {} and {1} are disjoint
+        assert _quotient_verdict(F(1, [], [1]), k2) is True
 
     def test_classes_are_the_orbits_of_the_good_transpositions(self):
         rng = random.Random(31)
         for _ in range(60):
             n = rng.randint(1, 5)
             fam, planted = block_invariant_family(rng, n)
-            classes = _symmetry_classes(fam)
             blocks = _symmetry_blocks(fam)
+            classes = young_classes(fam.members, blocks)
             # a planted block lies inside one found block
             assert all(any(p & b == p for b in blocks) for p in planted)
             for i, m in enumerate(fam.members):
-                row = 1 << i if classes is None else classes[i]
+                row = classes[i]
                 mates = {fam.members[j] for j in range(len(fam)) if row >> j & 1}
                 assert mates == orbit_by_swaps(fam, m)
 
     def test_pruned_search_returns_the_plain_copy(self):
+        # a host with one or two blocks is pruned to its quotient, and a copy
+        # found there is still the plain embedder's
         rng = random.Random(13)
         patterns = [*NAMED.values(), parse_pattern("K2,3"), parse_pattern("S3"), ASYMMETRIC]
         symmetric = 0
         for _ in range(150):
             n = rng.randint(2, 6)
             fam, _ = block_invariant_family(rng, n)
-            symmetric += _symmetry_classes(fam) is not None
+            symmetric += len(_symmetry_blocks(fam)) <= 2
             rows = (InducedKneser(fam).neighbor_mask,)
             for pattern in patterns:
                 got = contains_subgraph(fam, pattern)
@@ -349,7 +354,7 @@ class TestHostSymmetry:
                     assert check_witness(fam, pattern, got)
                 if len(fam) <= 8:
                     assert (got is not None) == subgraph_copy_exists(fam.members, pattern)
-        assert symmetric > 100
+        assert symmetric > 80
 
 
 # the patterns the quotient search is checked on: a triangle with three
@@ -363,21 +368,28 @@ QUOTIENT_PATTERNS = {
 }
 
 
+def embedder_finds(fam: Family, pattern: PatternGraph) -> bool:
+    """Whether the embedder finds a copy with the first vertex of the plan
+    pinned to the smallest member of some Young class of the family's blocks:
+    a relabelling of [n] that keeps the family keeps disjointness, and moves
+    the first image of a copy anywhere in its class."""
+    plan = _graph_plan(pattern)
+    rows = (InducedKneser(fam).neighbor_mask,)
+    classes = young_classes(fam.members, _symmetry_blocks(fam))
+    reps = sorted({(c & -c).bit_length() - 1 for c in classes})
+    return any(_embed(plan, len(fam), rows, (plan.route[0][0], h)) for h in reps)
+
+
 def quotient_agrees(fam: Family, pattern: PatternGraph) -> bool:
     """The quotient search decides the host and agrees with the embedder."""
-    found = _quotient_contains(fam, _symmetry_blocks(fam), pattern)
+    found = _quotient_contains(fam, _symmetry_blocks(fam), _graph_plan(pattern))
     assert found is not None
-    assert found == (contains_subgraph(fam, pattern) is not None)
+    assert found == embedder_finds(fam, pattern)
     return found
 
 
 def two_block_family(rng: random.Random, n: int) -> Family:
-    """A random union of Young classes over a random split of [n] into two blocks."""
-    first = sum(1 << e for e in rng.sample(range(n), rng.randint(0, n)))
-    blocks = (first, ((1 << n) - 1) ^ first)
-    kept = {key for key in product(range(n + 1), repeat=2) if rng.random() < 0.5}
-    profile = lambda m: tuple((m & b).bit_count() for b in blocks)
-    return Family.of(n, (m for m in range(1 << n) if profile(m) in kept))
+    return Family.of(n, two_block_masks(rng, n))
 
 
 class TestQuotient:
@@ -420,39 +432,46 @@ class TestQuotient:
                 relabelled = PatternGraph.make(size, [(perm[u], perm[v]) for u, v in pattern.edges])
                 for fam in hosts:
                     blocks = _symmetry_blocks(fam)
-                    expected = _quotient_contains(fam, blocks, pattern)
-                    assert _quotient_contains(fam, blocks, relabelled) == expected
+                    expected = _quotient_contains(fam, blocks, _graph_plan(pattern))
+                    assert _quotient_contains(fam, blocks, _graph_plan(relabelled)) == expected
 
     def test_host_smaller_than_the_pattern(self):
         # isolated vertices still need members of their own
         fam = level_slice(3, 1, 1)
-        assert _quotient_contains(fam, _symmetry_blocks(fam), QUOTIENT_PATTERNS["C3"]) is True
-        assert _quotient_contains(fam, _symmetry_blocks(fam), QUOTIENT_PATTERNS["K3+3"]) is False
+        blocks = _symmetry_blocks(fam)
+        assert _quotient_contains(fam, blocks, _graph_plan(QUOTIENT_PATTERNS["C3"])) is True
+        assert _quotient_contains(fam, blocks, _graph_plan(QUOTIENT_PATTERNS["K3+3"])) is False
 
     def test_which_hosts_reach_the_embedder(self, monkeypatch):
         calls = {}
-        for attr in ("_quotient_contains", "_static_copy"):
+        for attr in ("_quotient_contains", "_embedded_copy"):
             def counted(*args, attr=attr, fn=getattr(freeness, attr)):
                 calls[attr] += 1
                 return fn(*args)
             monkeypatch.setattr(freeness, attr, counted)
 
-        def check(fam, pattern, quotient, embedder):
-            calls.update(_quotient_contains=0, _static_copy=0)
-            free = is_free(fam, pattern)
-            assert calls == {"_quotient_contains": quotient, "_static_copy": embedder}
-            assert free == (contains_subgraph(fam, pattern) is None)
+        def check(ask, fam, pattern, quotient, embedder):
+            calls.update(_quotient_contains=0, _embedded_copy=0)
+            got = ask(fam, pattern)
+            assert calls == {"_quotient_contains": quotient, "_embedded_copy": embedder}
+            return got
 
         c5 = QUOTIENT_PATTERNS["C5"]
-        check(threshold_family(10, 2), c5, 1, 0)
+        assert check(is_free, threshold_family(10, 2), c5, 1, 0)
+        # at any size: the 64-member threshold family, free and holding a copy
+        assert check(is_free, threshold_family(7, 2), c5, 1, 0)
+        assert not check(is_free, threshold_family(7, 2), QUOTIENT_PATTERNS["S3"], 1, 0)
+        # a copy that is asked for comes from the embedder
+        copy = check(contains_subgraph, threshold_family(7, 2), QUOTIENT_PATTERNS["S3"], 1, 1)
+        assert check_witness(threshold_family(7, 2), QUOTIENT_PATTERNS["S3"], copy)
+        assert check(contains_subgraph, threshold_family(7, 2), c5, 1, 0) is None
         # the three blocks {1}, {2}, {3..9}
         three = Family.of(9, (m for m in range(1 << 9) if m & 1 and not m & 2 or m.bit_count() > 4))
-        assert len(_symmetry_blocks(three)) == 3 and len(three) >= freeness.QUOTIENT_MIN_MEMBERS
-        check(three, c5, 0, 1)
-        # below QUOTIENT_MIN_MEMBERS, and a search past QUOTIENT_STATES
-        check(threshold_family(7, 2), c5, 0, 1)
+        assert len(_symmetry_blocks(three)) == 3
+        assert check(is_free, three, c5, 0, 1) == (contains_subgraph(three, c5) is None)
+        # a search past QUOTIENT_STATES
         monkeypatch.setattr(freeness, "QUOTIENT_STATES", 3)
-        check(threshold_family(10, 2), c5, 1, 1)
+        assert check(is_free, threshold_family(10, 2), c5, 1, 1)
 
     @pytest.mark.parametrize(
         "name, n, params, pattern, states",
@@ -471,10 +490,11 @@ class TestQuotient:
         # checks tried 224 and 878 states
         fam = build_construction(name, n, **params).family
         blocks = _symmetry_blocks(fam)
+        plan = _graph_plan(parse_pattern(pattern))
         monkeypatch.setattr(freeness, "QUOTIENT_STATES", states)
-        assert _quotient_contains(fam, blocks, parse_pattern(pattern)) is False
+        assert _quotient_contains(fam, blocks, plan) is False
         monkeypatch.setattr(freeness, "QUOTIENT_STATES", states - 1)
-        assert _quotient_contains(fam, blocks, parse_pattern(pattern)) is None
+        assert _quotient_contains(fam, blocks, plan) is None
 
     @pytest.mark.parametrize(
         "name, params, pattern", [("threshold", {"k": 2}, "C5"), ("e2_two_level", {}, "K2,3")]

@@ -4,11 +4,13 @@ from itertools import permutations
 import pytest
 
 from knvex import posets, search
-from knvex.freeness import InducedKneser, _embed, _Plan, _symmetry_classes, check_witness
+from knvex import freeness
+from knvex.freeness import InducedKneser, _embed, _Plan, _quotient_contains, _symmetry_blocks, check_witness
 from knvex.patterns import Bipartition, bipartition, make_pattern, parse_pattern
 from knvex.posets import (
     CollisionError,
     IncrementalPosetChecker,
+    LevelCertification,
     Poset,
     antichain,
     butterfly,
@@ -17,6 +19,7 @@ from knvex.posets import (
     contains_poset_copy,
     crown,
     e_of_poset,
+    is_poset_free,
     la,
     lambda_poset,
     named_poset,
@@ -28,7 +31,7 @@ from knvex.posets import (
 )
 from knvex.sets import Family, complement, family_complement, level_slice, mask_of, upset
 
-from oracles import automorphism_orbit_minima, poset_copy_exists, transitive_closure
+from oracles import automorphism_orbit_minima, poset_copy_exists, transitive_closure, two_block_masks
 
 NAMED_POSETS = {
     "chain2": chain(2),
@@ -214,8 +217,8 @@ class TestContainsPosetCopy:
                 assert (got is not None) == poset_copy_exists(members, poset)
 
     def test_pruned_search_returns_the_plain_copy(self):
-        # host classes are found from the family, and a relabelling of [n]
-        # that keeps it keeps inclusion, so each class is tried once
+        # a host with one or two blocks, found from the family, is pruned to
+        # its quotient, and a copy found there is still the plain embedder's
         names = ["butterfly", "V", "Lambda", "chain3", "crown4", "crown6", "antichain3"]
         named = [named_poset(name) for name in names + ["K1,1,3", "K2,1,2"]]
         rng = random.Random(41)
@@ -228,23 +231,44 @@ class TestContainsPosetCopy:
             hosts.append(Family.of(n, [m for m in range(1 << n) if rng.random() < 0.5]))
         symmetric = 0
         for fam in hosts:
-            symmetric += _symmetry_classes(fam) is not None
+            symmetric += len(_symmetry_blocks(fam)) <= 2
             for poset in named:
                 got = contains_poset_copy(fam, poset)
                 rows = (posets._SupersetHost(fam).neighbor_mask,)
-                plain = _embed(posets._poset_plan(poset), len(fam), rows, classes=None)
+                plain = _embed(posets._poset_plan(poset), len(fam), rows)
                 if plain is not None:
                     plain = {e: fam.members[i] for e, i in plain.items()}
                 assert got == plain
         assert symmetric > 40
 
     @pytest.mark.parametrize(
-        "name, n_max, built",
-        [("K2,3", 6, 252), ("butterfly", 8, 1002), ("K2,1,2", 8, 912)],
+        "name, n, lo, hi, free",
+        [
+            ("butterfly", 8, 3, 4, True),
+            ("butterfly", 8, 3, 5, False),
+            ("K2,1,2", 8, 3, 5, False),
+            ("crown6", 8, 3, 4, False),
+            ("chain3", 8, 4, 5, True),
+        ],
     )
-    def test_superset_rows_built_by_e_of_poset(self, monkeypatch, name, n_max, built):
-        # rows are built lazily, first vertex once per host class; built
-        # eagerly for every member, these were 409, 1525 and 1557
+    def test_verdicts_build_no_rows(self, monkeypatch, name, n, lo, hi, free):
+        # a level window has one block, so it is decided on atom counts with
+        # or without a copy in it; a copy asked for comes from the embedder
+        def refuse(host, i):
+            raise AssertionError("a superset row was built")
+
+        fam, poset = level_slice(n, lo, hi), named_poset(name)
+        monkeypatch.setattr(InducedKneser, "neighbor_mask", refuse)
+        assert is_poset_free(fam, poset) is free
+        if free:
+            assert contains_poset_copy(fam, poset) is None
+        else:
+            with pytest.raises(AssertionError, match="row was built"):
+                contains_poset_copy(fam, poset)
+
+    @pytest.mark.parametrize("name, n_max", [("K2,3", 6), ("butterfly", 8), ("K2,1,2", 8)])
+    def test_e_of_poset_builds_rows_for_its_certificate_only(self, monkeypatch, name, n_max):
+        # with one row per host class, e_of_poset built 252, 1002 and 912 rows here
         poset = poset_from_bipartite(parse_pattern(name)) if name == "K2,3" else named_poset(name)
         rows = []
         neighbor_mask = InducedKneser.neighbor_mask
@@ -255,8 +279,12 @@ class TestContainsPosetCopy:
             return neighbor_mask(host, i)
 
         monkeypatch.setattr(InducedKneser, "neighbor_mask", counted)
-        e_of_poset(poset, n_max)
-        assert len(rows) == built
+        cert = e_of_poset(poset, n_max)
+        built = len(rows)
+        lo = cert.certificate_lowest_level
+        window = level_slice(cert.certificate_n, lo, lo + cert.value)
+        assert contains_poset_copy(window, poset) == cert.certificate
+        assert 0 < built == len(rows) - built
 
     def test_plan_rejects_an_order_with_a_later_element_below(self):
         # the search checks only "above" along the route, so an element placed
@@ -283,6 +311,89 @@ class TestContainsPosetCopy:
                 for q in range(poset.size):
                     if poset.less(p, q):
                         assert copy[p] & copy[q] == copy[p]
+
+
+# the posets the quotient search is checked on, with the oriented K2,3
+QUOTIENT_POSETS = {
+    name: named_poset(name)
+    for name in (
+        "V", "Lambda", "butterfly", "K2,1,2", "K2,1,3", "crown6", "chain2", "chain3", "chain5",
+        "antichain4",
+    )
+}
+QUOTIENT_POSETS["P(K2,3)"] = poset_from_bipartite(parse_pattern("K2,3"))
+
+
+def quotient_agrees(fam: Family, poset: Poset) -> bool:
+    """The quotient search decides the host and agrees with the plain embedder."""
+    found = _quotient_contains(fam, _symmetry_blocks(fam), posets._poset_plan(poset))
+    assert found is not None
+    rows = (posets._SupersetHost(fam).neighbor_mask,)
+    assert found == (_embed(posets._poset_plan(poset), len(fam), rows) is not None)
+    return found
+
+
+def two_block_family(rng: random.Random, n: int) -> Family:
+    return Family.of(n, two_block_masks(rng, n))
+
+
+class TestPosetQuotient:
+    def test_level_windows(self):
+        found = 0
+        for n in range(1, 9):
+            for lo in range(n + 1):
+                for hi in range(lo, n + 1):
+                    fam = level_slice(n, lo, hi)
+                    for poset in QUOTIENT_POSETS.values():
+                        found += quotient_agrees(fam, poset)
+        assert 0 < found < 164 * len(QUOTIENT_POSETS)
+
+    def test_random_two_block_families(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            fam = two_block_family(rng, rng.randint(1, 8))
+            assert len(_symmetry_blocks(fam)) <= 2
+            for poset in QUOTIENT_POSETS.values():
+                quotient_agrees(fam, poset)
+                if len(fam) <= 7:
+                    found = contains_poset_copy(fam, poset) is not None
+                    assert found == poset_copy_exists(fam.members, poset) != is_poset_free(fam, poset)
+
+    def test_relabelling_keeps_the_verdict(self):
+        rng = random.Random(19)
+        hosts = [two_block_family(rng, rng.randint(3, 7)) for _ in range(15)]
+        hosts += [level_slice(6, 2, 4), level_slice(7, 3, 4)]
+        for poset in QUOTIENT_POSETS.values():
+            size = poset.size
+            pairs = [(p, q) for p in range(size) for q in range(size) if poset.less(p, q)]
+            for _ in range(3):
+                perm = rng.sample(range(size), size)
+                relabelled = Poset.from_relations(size, [(perm[p], perm[q]) for p, q in pairs])
+                for fam in hosts:
+                    blocks = _symmetry_blocks(fam)
+                    expected = _quotient_contains(fam, blocks, posets._poset_plan(poset))
+                    assert _quotient_contains(fam, blocks, posets._poset_plan(relabelled)) == expected
+
+    @pytest.mark.parametrize(
+        "name, n, lo, hi, found, states",
+        [
+            ("butterfly", 8, 3, 4, False, 10),
+            ("butterfly", 8, 4, 5, False, 11),
+            ("butterfly", 3, 0, 2, True, 6),
+            ("K2,1,2", 4, 2, 4, False, 19),
+            ("K2,1,2", 4, 1, 3, True, 8),
+        ],
+    )
+    def test_states_tried_on_eposet_windows(self, monkeypatch, name, n, lo, hi, found, states):
+        # a deterministic count; the last free windows and the certificate
+        # windows of e_of_poset on the butterfly and K2,1,2
+        fam = level_slice(n, lo, hi)
+        blocks = _symmetry_blocks(fam)
+        plan = posets._poset_plan(named_poset(name))
+        monkeypatch.setattr(freeness, "QUOTIENT_STATES", states)
+        assert _quotient_contains(fam, blocks, plan) is found
+        monkeypatch.setattr(freeness, "QUOTIENT_STATES", states - 1)
+        assert _quotient_contains(fam, blocks, plan) is None
 
 
 class TestIncrementalPosetChecker:
@@ -473,13 +584,15 @@ class TestLa:
     @pytest.fixture
     def copy_calls(self, monkeypatch):
         calls = []
-        real = posets.contains_poset_copy
+        real = posets.is_poset_free
 
         def counting(fam, poset):
             calls.append(len(fam))
             return real(fam, poset)
 
-        monkeypatch.setattr(posets, "contains_poset_copy", counting)
+        monkeypatch.setattr(posets, "is_poset_free", counting)
+        # la asks for verdicts only, never for a copy
+        monkeypatch.setattr(posets, "contains_poset_copy", None)
         return calls
 
     def test_found_witness_is_rechecked(self, copy_calls):
@@ -537,6 +650,33 @@ class TestEOfPoset:
 
     def test_antichain_breaks_inside_one_level(self):
         assert e_of_poset(antichain(3), 6).value == 0
+
+    def test_height_refusal_keeps_every_certification(self):
+        # windows narrower than the height are skipped; the loop below checks them all
+        def unskipped(poset, n_max):
+            for k in range(1, n_max + 1):
+                for n in range(1, n_max + 1):
+                    for j in range(0, n - k + 2):
+                        copy = contains_poset_copy(level_slice(n, j, j + k - 1), poset)
+                        if copy is not None:
+                            return LevelCertification(k - 1, copy, n, j)
+            return LevelCertification(n_max, None, None, None)
+
+        names = ["V", "Lambda", "butterfly", "crown4", "crown6", "crown8", "antichain2"]
+        names += ["antichain4", "K1,1,1", "K1,1,3", "K2,1,2", "K2,1,3", "K3,1,3"]
+        names += [f"chain{h}" for h in range(1, 10)]
+        for name in names:
+            for n_max in range(1, 9):
+                poset = named_poset(name)
+                assert e_of_poset(poset, n_max) == unskipped(poset, n_max)
+
+    def test_a_chain_taller_than_every_window_is_not_searched(self, monkeypatch):
+        # chain16 ran over ten minutes at n_max 12 before windows were refused by height
+        monkeypatch.setattr(posets, "contains_poset_copy", None)
+        assert e_of_poset(chain(16), 12) == LevelCertification(12, None, None, None)
+        # a 12-chain fits the 12 levels of 2^[11], so that window is checked
+        with pytest.raises(TypeError):
+            e_of_poset(chain(12), 12)
 
     def test_la_beats_middle_levels(self):
         for poset in (chain(2), butterfly(), v_poset()):
