@@ -3,11 +3,11 @@
 Reports are JSON (tables are CSV) and deterministic given the parameters and
 seed, so runs are directly comparable.  Exit code 0 means every verification
 in the run passed, 1 that a result is not certified (a search stopped by its
-budget, an eposet e without a certificate, or a failed check), 2 that the
-input was rejected: a usage error, or an input error reported as one
-"knvex: error: ..." line on stderr, and 141 (128 + SIGPIPE, as a shell
-reports a command killed by that signal) that the reader closed stdout
-before the output was written.
+budget, or an eposet e without a certificate), 2 that the input was
+rejected, as a usage error or one "knvex: error: ..." line on stderr, 3
+that a result failed its own check (one "knvex: verification failed: ..."
+line; a correct program never exits 3), and 141 (128 + SIGPIPE, as a shell
+reports a command killed by that signal) that stdout was closed early.
 """
 
 from __future__ import annotations
@@ -140,10 +140,12 @@ def _cmd_verify(args) -> tuple[RunReport, int]:
     params = {key: value for key, value in vars(args).items() if key in _CONSTRUCTION_KEYS}
     nc = build_construction(args.construction, args.n, **params)
     verdict = verify_construction(nc)
+    if not verdict["pass"]:
+        raise AssertionError(f"construction {nc.name!r} at n={args.n} fails its own checks")
     report = RunReport(
         "verify", {"construction": args.construction, "n": args.n, **params}, verdict
     )
-    return report, 0 if verdict["pass"] else 1
+    return report, 0
 
 
 def _cmd_cyclecheck(args) -> tuple[RunReport, int]:
@@ -252,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
             # rejected input: unknown names, out-of-range sizes, missing budgets, unreadable files
             print(f"knvex: error: {exc}", file=sys.stderr)
             return 2
+        except AssertionError as exc:
+            print(f"knvex: verification failed: {exc}", file=sys.stderr)
+            return 3
         if report is not None:
             report.elapsed_ms = int((time.monotonic() - start) * 1000)
             print(report.to_json())

@@ -130,9 +130,10 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
     Each construction has one branch: its closed-form size, computed
     independently of the enumeration, the pattern it avoids and its
     generator.  An unknown name, a missing or unexpected parameter, a ground
-    size or parameter value the generator refuses, or a family larger than
-    the freeness check takes raises ValueError, checked in that order and
-    before any generator runs.
+    size or parameter value the generator refuses, or a ground size past
+    freeness.static_ground_limit(), where the embedder's rows would refuse
+    any family of 2^(n-1) sets too, raises ValueError, checked in that order
+    and before any generator runs.
     """
     if name not in CONSTRUCTION_PARAMETERS:
         raise ValueError(f"unknown construction {name!r}")
@@ -142,6 +143,9 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
         problem = "takes no" if key in params else "needs the"
         raise ValueError(f"construction {name!r} {problem} parameter {key!r}")
     _check_parameters(name, n, params)
+    limit = freeness.static_ground_limit()
+    if n > limit:
+        raise ValueError(f"construction {name!r} at n={n}: the freeness check takes n <= {limit}")
     if name == "star":
         size, claim = 1 << (n - 1), "K2"
         generate = lambda: star_family(n, params["x"])
@@ -169,11 +173,6 @@ def build_construction(name: str, n: int, **params: int) -> NamedConstruction:
             size = binom_tail(n - 1, n // 2 - 2) + binom_tail(n - 1, n // 2)
         claim = "C4"
         generate = lambda: e2_two_level(n)
-    if size > freeness.MAX_VERTICES:
-        raise ValueError(
-            f"construction {name!r} at n={n} has {size} sets, "
-            f"more than the {freeness.MAX_VERTICES} the freeness check takes"
-        )
     return NamedConstruction(name, dict(params), generate(), size, claim)
 
 

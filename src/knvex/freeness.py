@@ -46,9 +46,9 @@ the members, a 2^n-bit int: with has_x the positions whose bit x is set,
 (e r) for r < e moves the members holding e but not r down by 2^e - 2^r,
 so it keeps the family iff (I & has_e & ~has_r) >> (2^e - 2^r) equals
 I & has_r & ~has_e.  The has_x masks take n * 2^n bits: 28 KB at n = 14
-and 5.5 MB at n = 21, the largest ground set of a host any command checks.
-A family with 2^n > 2 * MAX_VERTICES gets no blocks, so a library call at
-n = 30 searches plainly instead of allocating gigabytes.
+and 5.5 MB at n = 21, static_ground_limit(), the largest n with 2^n <= 2 *
+MAX_VERTICES.  A family past it gets no blocks, so a library call at n = 30
+searches plainly instead of allocating gigabytes.
 
 A host with at most two blocks is decided on counts, with no rows, no index
 and no member list (_quotient_contains).  Such a host is a union of whole
@@ -77,7 +77,7 @@ they are incomparable) may trade images, so some copy places each twin
 class in increasing profile order.  A later vertex related to the placed one
 (a neighbour, or an element above) must still find a member for itself and
 each unplaced twin: inside the atoms it may use, or holding those it must
-take.  Hosts with more blocks or with 2^n > 2 * MAX_VERTICES, and searches
+take.  Hosts with more blocks or past static_ground_limit(), and searches
 past QUOTIENT_STATES states, go to the embedder, which also finds every copy
 returned, whatever decided that one exists.
 """
@@ -93,6 +93,11 @@ from .patterns import PatternGraph
 from .sets import Family, complement, kneser_adjacent, validate_ground, validate_mask
 
 MAX_VERTICES = 1 << 20
+
+
+def static_ground_limit() -> int:
+    """The largest n a static check takes families on, 21 (module docstring)."""
+    return MAX_VERTICES.bit_length()
 
 
 class InducedKneser:
@@ -111,9 +116,7 @@ class InducedKneser:
         row = self._rows.get(i)
         if row is not None:
             return row
-        # every neighbor is a subset of the complement: enumerate submasks, at
-        # most 2^n of them, no more than twice the size of any host a command
-        # checks (each holds at least 2^(n-1) sets)
+        # every neighbor is one of the at most 2^n submasks of the complement
         free = complement(self.vertices.members[i], self.n)
         row = 0
         sub = free
@@ -126,6 +129,15 @@ class InducedKneser:
             sub = (sub - 1) & free
         self._rows[i] = row
         return row
+
+
+class _SupersetHost(InducedKneser):
+    """Row i holds the proper supersets of member i: X contains m properly iff
+    X's complement lies properly inside m's, so key members by complement."""
+
+    def __init__(self, vertices: Family):
+        super().__init__(vertices)
+        self._index = {complement(m, self.n): i for m, i in self._index.items()}
 
 
 def check_witness(fam: Family, pattern: PatternGraph, copy: dict[int, int]) -> bool:
@@ -505,46 +517,43 @@ def _spreads(counts: tuple[int, ...], total: int):
 
 def _quotient_verdict(fam: Family, plan: _Plan) -> bool | None:
     """_quotient_contains, or None on a host with more than two symmetry
-    blocks or past the block test's memory bound, 2^n > 2 * MAX_VERTICES."""
-    if 1 << fam.n > 2 * MAX_VERTICES:
+    blocks or past the block test's memory bound, static_ground_limit()."""
+    if fam.n > static_ground_limit():
         return None
     blocks = _symmetry_blocks(fam)
     return _quotient_contains(fam, blocks, plan) if len(blocks) <= 2 else None
 
 
-def _embedded_copy(fam: Family, plan: _Plan, host) -> dict[int, int] | None:
-    """The embedder's copy, vertex -> member mask, or None; host(fam) is the
-    InducedKneser whose neighbor_mask gives the rows of relations[0]."""
+def _embedded_copy(fam: Family, plan: _Plan) -> dict[int, int] | None:
+    """The embedder's copy, vertex -> member mask, or None; as in _quotient_contains,
+    rows hold disjoint sets for one relation, proper supersets for (above, below)."""
+    host = InducedKneser if len(plan.relations) == 1 else _SupersetHost
     assign = _embed(plan, len(fam), (host(fam).neighbor_mask,))
     return None if assign is None else {v: fam.members[i] for v, i in assign.items()}
 
 
-def _static_copy(fam: Family, plan: _Plan, host) -> dict[int, int] | None:
+def _static_copy(fam: Family, plan: _Plan) -> dict[int, int] | None:
     """The embedder's copy of the plan's pattern in a static family, or None;
     a host that the quotient finds free builds no row."""
-    if _quotient_verdict(fam, plan) is False:
-        return None
-    return _embedded_copy(fam, plan, host)
+    return None if _quotient_verdict(fam, plan) is False else _embedded_copy(fam, plan)
 
 
-def _holds_copy(fam: Family, plan: _Plan, host) -> bool:
+def _holds_copy(fam: Family, plan: _Plan) -> bool:
     """Whether a static family holds a copy, with no copy built: the
     quotient's verdict, or the embedder's on a host the quotient leaves."""
     found = _quotient_verdict(fam, plan)
-    if found is None:
-        found = _embedded_copy(fam, plan, host) is not None
-    return found
+    return found if found is not None else _embedded_copy(fam, plan) is not None
 
 
 def contains_subgraph(fam: Family, pattern: PatternGraph) -> dict[int, int] | None:
     """Exhaustive search for a copy of the pattern, vertex -> member mask; None if absent."""
-    return _static_copy(fam, _graph_plan(pattern), InducedKneser)
+    return _static_copy(fam, _graph_plan(pattern))
 
 
 def is_free(fam: Family, pattern: PatternGraph) -> bool:
     """True when the subgraph induced by the family contains no copy of the
     pattern: decided on Venn-atom counts where the host allows (_holds_copy)."""
-    return not _holds_copy(fam, _graph_plan(pattern), InducedKneser)
+    return not _holds_copy(fam, _graph_plan(pattern))
 
 
 class _CheckerBase:

@@ -8,10 +8,9 @@ obstruct pattern copies in the Kneser cube.  This module owns
   * weak-copy detection in families (order-preserving injections; an
     injection makes every required inclusion proper automatically), through
     the engines of freeness.py with a linear extension as the order: a
-    static check is the graph one, the Venn-atom quotient on inclusion, or
-    the embedder, which checks only "above" along the order, on a host whose
-    lazy rows hold proper supersets (_SupersetHost); the incremental checker
-    also keeps the subset rows its pinned pushes read,
+    static check is the graph one, which reads the plan's (above, below)
+    relations as inclusion and picks its rows from them; the incremental
+    checker also keeps the subset rows its pinned pushes read,
   * La(n, *) exact maximization at desk scale via the shared search engine,
   * bounded certification of e(P), the number of consecutive Boolean-cube
     levels that stay P-free,
@@ -24,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .freeness import InducedKneser, _CheckerBase, _holds_copy, _Plan, _static_copy, check_witness
+from .freeness import _CheckerBase, _holds_copy, _Plan, _static_copy, check_witness
 from .patterns import Bipartition, PatternGraph, bipartition, make_pattern
 from .sets import (
     Family,
@@ -236,25 +235,14 @@ def _poset_plan(poset: Poset) -> _Plan:
     return _Plan((poset.above, poset.below), poset.linear_extension)
 
 
-class _SupersetHost(InducedKneser):
-    """Row i holds the proper supersets of member i: X contains m properly iff
-    the complement of X lies properly inside that of m, so with members keyed
-    by their complements the walk over the submasks of m's complement finds
-    exactly them."""
-
-    def __init__(self, vertices: Family):
-        super().__init__(vertices)
-        self._index = {complement(m, self.n): i for m, i in self._index.items()}
-
-
 def contains_poset_copy(fam: Family, poset: Poset) -> dict[int, int] | None:
     """Search for a weak copy of the poset, element -> member mask; None if absent."""
-    return _static_copy(fam, _poset_plan(poset), _SupersetHost)
+    return _static_copy(fam, _poset_plan(poset))
 
 
 def is_poset_free(fam: Family, poset: Poset) -> bool:
     """True when the family holds no weak copy of the poset; no copy is built."""
-    return not _holds_copy(fam, _poset_plan(poset), _SupersetHost)
+    return not _holds_copy(fam, _poset_plan(poset))
 
 
 class IncrementalPosetChecker(_CheckerBase):

@@ -248,6 +248,8 @@ def max_family_avoiding(
 
 # Searches with a deadline look at the clock once every 1024 nodes.
 _CHECK_EVERY = 1023
+# The driver keeps entries per set of 2^[n]; 10 nodes peak at 234 MB at n = 17, 764 MB at n = 18.
+SEARCH_MAX_N = 20
 
 
 def _partition_bounds(units, partitions):
@@ -333,10 +335,16 @@ def _structural_value(n: int, pattern: PatternGraph) -> VexResult | None:
         witness, source = level_slice(n, 0, n), "whole-cube"
     else:
         nc = constructions.build_construction("matching_extremal", n, k=k)
-        if not freeness.is_free(nc.family, pattern):
+        if not _cover_certifies(nc.family, k):
             raise AssertionError("doubling construction failed its freeness certificate")
         witness, source = nc.family, f"construction:{nc.name}"
     return VexResult(len(witness), witness, source, len(witness), "complement-pair-bound")
+
+
+def _cover_certifies(fam: Family, k: int) -> bool:
+    """Whether at most k members miss element 1, so no k + 1 edges form a matching:
+    the rest pairwise intersect, so each edge has one of those k as an end."""
+    return sum(1 for m in fam.members if not m & 1) <= k
 
 
 def vex_bounds(n: int, pattern: PatternGraph) -> VexResult:
@@ -372,9 +380,9 @@ def vex_exact(
     and matchings resolve structurally at any ground size.  Otherwise its
     witness seeds the searches, and a run that does not close has upper None.
 
-    Branch and bound handles n <= 5; larger n requires an explicit
-    budget and may come back non-exact (the value then certifies a lower
-    bound).  For n in _CORE_SEARCH_NS two searches run: the complement-core
+    Branch and bound handles n <= 5; larger n, up to SEARCH_MAX_N, requires
+    an explicit budget and may come back non-exact (the value then certifies
+    a lower bound).  For n in _CORE_SEARCH_NS two searches run: the complement-core
     search for vex_sym (core_value, None if it did not finish; core_nodes),
     then the main search (nodes), which stops at the upper bound
     2^(n-1) + core_value/2.  The core search gets at most half the node
@@ -384,12 +392,11 @@ def vex_exact(
     and the main search gets the whole budget.  The timeout bounds the
     searches only: the construction seed is certified before them without
     looking at the clock.  is_free decides the constructions on their
-    Venn-atom counts, so that stays short: `vex --n 12 --pattern C5
-    --budget 10 --timeout 1` runs 0.15 s in all, and vex_bounds takes 0.07 s
-    for C5 at n = 17, where the row-based check took 48 s.  Both searches
-    prune by orbits (relabel_invariant): relabelling [n] keeps disjointness,
-    so it keeps the pattern checker's verdict.  The core search visits the outer levels
-    first, the main search the middle ones (see the module docstring).
+    Venn-atom counts, so that stays short: vex_bounds takes 0.07 s for C5 at
+    n = 17.  Both searches prune by orbits (relabel_invariant): relabelling
+    [n] keeps disjointness, so it keeps the pattern checker's verdict.  The
+    core search visits the outer levels first, the main search the middle
+    ones (see the module docstring).
     """
     validate_ground(n)
     if max_nodes is not None and max_nodes < 0:
@@ -399,6 +406,8 @@ def vex_exact(
     # checked before vex_bounds builds a seed; edgeless patterns and matchings need no search
     if n > 5 and max_nodes is None and timeout is None and not _is_structural(pattern):
         raise ValueError("n > 5 needs an explicit budget (max_nodes or timeout)")
+    if n > SEARCH_MAX_N and not _is_structural(pattern):
+        raise ValueError(f"the search keeps a table over 2^[n]; n <= {SEARCH_MAX_N} only")
     deadline = time.monotonic() + timeout if timeout is not None else None
     bounds = vex_bounds(n, pattern)
     if bounds.exact:

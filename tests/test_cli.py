@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knvex
+from knvex import constructions, freeness, posets
 from knvex.cli import main
 from knvex.constructions import CONSTRUCTION_PARAMETERS
 
@@ -74,9 +75,9 @@ class TestExitCodes:
             ("vex", "--n", "30", "--pattern", "M2"),
             ("vex", "--n", "30", "--pattern", "C5", "--bounds"),
             ("verify", "--construction", "star", "--n", "22"),
-            # refused by the closed-form size, before the family is generated
-            ("vex", "--n", "21", "--pattern", "K2,3", "--bounds"),
-            ("table", "--pattern", "K2,3", "--n", "21..22"),
+            # refused by the ground size the freeness check takes, before the family is generated
+            ("vex", "--n", "22", "--pattern", "K2,3", "--bounds"),
+            ("table", "--pattern", "K2,3", "--n", "22..23"),
             # headers with more than a count, read as "e 3" and "p 3" before
             ("la", "--n", "3", "--poset", "header.poset"),
             ("vex", "--n", "3", "--pattern", "header.pattern"),
@@ -108,6 +109,32 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("knvex: error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", ["21", "22", "30"])
+    def test_search_refuses_large_n_before_building_a_seed(self, capsys, monkeypatch, n):
+        # at n = 21 the search itself would exhaust memory, so it never runs here
+        def unreachable(*args, **kwargs):
+            raise AssertionError("build_construction called")
+
+        monkeypatch.setattr(constructions, "build_construction", unreachable)
+        code, out, err = run(capsys, "vex", "--n", n, "--pattern", "C5", "--budget", "10")
+        assert (code, out) == (2, "")
+        assert err == "knvex: error: the search keeps a table over 2^[n]; n <= 20 only\n"
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (("vex", "--n", "7", "--pattern", "C5", "--bounds"), "is_free"),
+            (("verify", "--construction", "threshold", "--n", "7", "--k", "2"), "is_free"),
+            (("la", "--n", "3", "--poset", "V"), "is_poset_free"),
+        ],
+    )
+    def test_failed_verification_exits_3_with_one_line(self, capsys, monkeypatch, argv, target):
+        monkeypatch.setattr(freeness if target == "is_free" else posets, target, lambda *a: False)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("knvex: verification failed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("n", ["8", "23"])
     def test_cyclecheck_refuses_large_n_before_building_a_family(self, capsys, monkeypatch, n):

@@ -209,7 +209,7 @@ class TestContainsPosetCopy:
                 sum(1 << j for j, b in enumerate(members) if a != b and a & b == a)
                 for a in members
             ]
-            host = posets._SupersetHost(fam)
+            host = freeness._SupersetHost(fam)
             assert [host.neighbor_mask(i) for i in range(len(members))] == up
             for poset in NAMED_POSETS.values():
                 rows = (host.neighbor_mask, below)
@@ -234,7 +234,7 @@ class TestContainsPosetCopy:
             symmetric += len(_symmetry_blocks(fam)) <= 2
             for poset in named:
                 got = contains_poset_copy(fam, poset)
-                rows = (posets._SupersetHost(fam).neighbor_mask,)
+                rows = (freeness._SupersetHost(fam).neighbor_mask,)
                 plain = _embed(posets._poset_plan(poset), len(fam), rows)
                 if plain is not None:
                     plain = {e: fam.members[i] for e, i in plain.items()}
@@ -328,7 +328,7 @@ def quotient_agrees(fam: Family, poset: Poset) -> bool:
     """The quotient search decides the host and agrees with the plain embedder."""
     found = _quotient_contains(fam, _symmetry_blocks(fam), posets._poset_plan(poset))
     assert found is not None
-    rows = (posets._SupersetHost(fam).neighbor_mask,)
+    rows = (freeness._SupersetHost(fam).neighbor_mask,)
     assert found == (_embed(posets._poset_plan(poset), len(fam), rows) is not None)
     return found
 

@@ -11,6 +11,7 @@ from knvex.constructions import (
     build_construction,
     clique_threshold_family,
     e2_two_level,
+    matching_extremal,
     star_family,
     threshold_family,
 )
@@ -508,6 +509,33 @@ class TestShortcuts:
             assert is_free(res.witness, pattern)
             bounds = vex_bounds(n, pattern)
             assert bounds.value == bounds.upper == res.value
+
+    def test_cover_refuses_one_extra_complement(self):
+        for n in range(2, 9):
+            for k in range(min(8, 1 << (n - 1))):
+                assert search._cover_certifies(matching_extremal(n, k), k)
+                assert not search._cover_certifies(matching_extremal(n, k + 1), k)
+
+    def test_cover_agrees_with_is_free_on_the_doubling_construction(self):
+        # the embedder decides these three-block hosts; past 6 edges it takes
+        # seconds per host (M8 at n = 8: 7.8 s)
+        for n in range(1, 9):
+            for k in range(min(6, (1 << (n - 1)) + 1)):
+                fam = matching_extremal(n, k)
+                for j in {k - 1, k} - {-1}:
+                    pattern = make_pattern("matching", j + 1)
+                    assert search._cover_certifies(fam, j) == is_free(fam, pattern), (n, k, j)
+
+    def test_doubling_construction_is_certified_without_the_embedder(self, monkeypatch):
+        # the doubling construction has three Young blocks, where is_free
+        # leaves the quotient for the embedder's rows
+        def refuse(*args):
+            raise AssertionError("is_free called")
+
+        monkeypatch.setattr(freeness, "is_free", refuse)
+        bounds = vex_bounds(16, make_pattern("matching", 3))
+        assert bounds.exact and bounds.value == (1 << 15) + 2
+        assert bounds.lower_bound_source == "construction:matching_extremal"
 
     @pytest.mark.parametrize(
         "pattern",
