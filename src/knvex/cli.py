@@ -27,7 +27,7 @@ from .cycle import _check_ground, double_count_check
 from .patterns import parse_pattern, pattern_from_text
 from .posets import e_of_poset, la, named_poset, poset_from_text
 from .search import vex_bounds, vex_exact
-from .sets import Family, family_from_text, random_family, set_to_text, validate_ground
+from .sets import Family, family_from_text, family_texts, random_family, set_to_text, validate_ground
 
 
 @dataclass
@@ -44,7 +44,7 @@ class RunReport:
 
 
 def _family_json(fam: Family) -> dict:
-    return {"n": fam.n, "sets": [set_to_text(m) for m in fam]}
+    return {"n": fam.n, "sets": family_texts(fam)}
 
 
 def _load(spec: str, by_name, from_text):

@@ -311,10 +311,11 @@ def _symmetry_blocks(fam: Family) -> list[int]:
     masks in order of their smallest element; each transposition is tested
     on the family's indicator bitmap (see the module docstring)."""
     n = fam.n
-    bitmap = bytearray(((1 << n) + 7) >> 3)
+    # digits[m] is the indicator's bit m; int() reads the most significant digit first
+    digits = bytearray(b"0") * (1 << n)
     for m in fam.members:
-        bitmap[m >> 3] |= 1 << (m & 7)
-    indicator = int.from_bytes(bitmap, "little")
+        digits[m] = 49  # ord("1")
+    indicator = int(digits[::-1], 2)
     has = [_has_bit(x, n) for x in range(n)]
     blocks: list[int] = []
     for e in range(n):

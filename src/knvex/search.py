@@ -335,16 +335,10 @@ def _structural_value(n: int, pattern: PatternGraph) -> VexResult | None:
         witness, source = level_slice(n, 0, n), "whole-cube"
     else:
         nc = constructions.build_construction("matching_extremal", n, k=k)
-        if not _cover_certifies(nc.family, k):
+        if not constructions.cover_certifies(nc.family, k):
             raise AssertionError("doubling construction failed its freeness certificate")
         witness, source = nc.family, f"construction:{nc.name}"
     return VexResult(len(witness), witness, source, len(witness), "complement-pair-bound")
-
-
-def _cover_certifies(fam: Family, k: int) -> bool:
-    """Whether at most k members miss element 1, so no k + 1 edges form a matching:
-    the rest pairwise intersect, so each edge has one of those k as an end."""
-    return sum(1 for m in fam.members if not m & 1) <= k
 
 
 def vex_bounds(n: int, pattern: PatternGraph) -> VexResult:

@@ -110,6 +110,14 @@ class TestExitCodes:
         assert err.startswith("knvex: error: ")
         assert err.count("\n") == 1
 
+    def test_doubling_construction_verifies_at_21(self, capsys):
+        # 2^20 + 2 sets: past the embedder's rows, certified by the cover
+        argv = ("verify", "--construction", "matching_extremal", "--n", "21", "--k", "2")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)["results"]
+        assert report["pass"] and report["size"] == (1 << 20) + 2
+
     @pytest.mark.parametrize("n", ["21", "22", "30"])
     def test_search_refuses_large_n_before_building_a_seed(self, capsys, monkeypatch, n):
         # at n = 21 the search itself would exhaust memory, so it never runs here

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from knvex import constructions
+from knvex import constructions, freeness
 from knvex.constructions import (
     NamedConstruction,
     bip_lower,
@@ -211,6 +211,17 @@ class TestNamedConstructions:
         report = verify_construction(build_construction("matching_extremal", 4, k=2))
         assert report["pass"]
         assert report["free_of"] == "M3"
+
+    def test_doubling_construction_is_verified_by_its_cover(self, monkeypatch):
+        # its three Young blocks would send is_free to the embedder's rows
+        def refuse(*args):
+            raise AssertionError("is_free called")
+
+        monkeypatch.setattr(freeness, "is_free", refuse)
+        for n in range(1, 9):
+            for k in range(min(5, 1 << (n - 1)) + 1):
+                report = verify_construction(build_construction("matching_extremal", n, k=k))
+                assert report["pass"] and report["free_of"] == f"M{k + 1}", (n, k)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -10,10 +10,12 @@ from knvex.constructions import (
     bip_lower,
     build_construction,
     clique_threshold_family,
+    cover_certifies,
     e2_two_level,
     matching_extremal,
     star_family,
     threshold_family,
+    verify_construction,
 )
 from knvex.freeness import IncrementalChecker, is_free
 from knvex.patterns import PatternGraph, bipartition, make_pattern, odd_girth, parse_pattern
@@ -513,8 +515,8 @@ class TestShortcuts:
     def test_cover_refuses_one_extra_complement(self):
         for n in range(2, 9):
             for k in range(min(8, 1 << (n - 1))):
-                assert search._cover_certifies(matching_extremal(n, k), k)
-                assert not search._cover_certifies(matching_extremal(n, k + 1), k)
+                assert cover_certifies(matching_extremal(n, k), k)
+                assert not cover_certifies(matching_extremal(n, k + 1), k)
 
     def test_cover_agrees_with_is_free_on_the_doubling_construction(self):
         # the embedder decides these three-block hosts; past 6 edges it takes
@@ -524,7 +526,11 @@ class TestShortcuts:
                 fam = matching_extremal(n, k)
                 for j in {k - 1, k} - {-1}:
                     pattern = make_pattern("matching", j + 1)
-                    assert search._cover_certifies(fam, j) == is_free(fam, pattern), (n, k, j)
+                    free = is_free(fam, pattern)
+                    assert cover_certifies(fam, j) == free, (n, k, j)
+                    if j == k:
+                        nc = build_construction("matching_extremal", n, k=k)
+                        assert verify_construction(nc)["free_ok"] == free, (n, k)
 
     def test_doubling_construction_is_certified_without_the_embedder(self, monkeypatch):
         # the doubling construction has three Young blocks, where is_free

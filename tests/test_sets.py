@@ -12,10 +12,13 @@ from knvex.sets import (
     elements_of,
     family_complement,
     family_from_text,
+    family_texts,
     family_to_text,
     kneser_adjacent,
     level_slice,
     mask_of,
+    random_family,
+    set_to_text,
     symmetric_chains,
     upset,
     young_classes,
@@ -223,6 +226,19 @@ class TestTextFormat:
 
     def test_empty_family(self):
         fam = Family.of(6, [])
+        assert family_from_text(family_to_text(fam)) == fam
+
+    @pytest.mark.parametrize("n", range(1, 22))
+    def test_family_texts_follow_set_to_text(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        masks = rng.sample(range(1 << n), min(1 << n, 3000)) + [0, full]
+        fam = Family.of(n, masks)
+        assert family_texts(fam) == [set_to_text(m) for m in fam]
+
+    def test_round_trip_at_16(self):
+        fam = random_family(16, seed=3)
+        fam = Family.of(16, fam.members + (0, (1 << 16) - 1))
         assert family_from_text(family_to_text(fam)) == fam
 
 
